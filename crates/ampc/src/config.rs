@@ -53,7 +53,7 @@ pub enum DdsBackendKind {
     Channel,
     /// Socket-backed store ([`ampc_dds::TcpBackend`]): the identical owner
     /// protocol spoken as length-prefixed `ampc_dds::proto` frames over
-    /// localhost TCP, frozen epochs fetched and rebuilt as local replicas.
+    /// localhost TCP, frozen epochs decoded straight into local replicas.
     /// The deployable shape of the store.
     Remote,
     /// Multi-owner-process store ([`ampc_dds::ClusterBackend`]): N

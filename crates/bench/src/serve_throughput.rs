@@ -140,7 +140,7 @@ fn run_client(
         if sent_this_epoch == ADVANCE_EVERY && in_flight.is_empty() {
             client.send(Request::Advance { epoch }).expect("advance");
             match client.recv().expect("advance reply") {
-                ClientReply::Wire(Reply::Epoch(_)) | ClientReply::SharedEpoch(_) => {}
+                ClientReply::Epoch(_) => {}
                 _ => panic!("an advance must publish the frozen epoch"),
             }
             epoch += 1;

@@ -31,8 +31,9 @@
 //! * [`crate::TcpBackend`] — the same [`crate::RemoteBackend`] over
 //!   localhost sockets ([`crate::TcpTransport`]): every request and reply
 //!   round-trips through the byte codec as length-prefixed frames, and
-//!   frozen epochs are fetched as [`crate::proto::EpochFrame`]s and
-//!   rebuilt into local replicas — the deployable shape of the store.
+//!   each frozen epoch crosses in one pass per side — owners encode their
+//!   frozen shard maps straight into the frame, clients decode it straight
+//!   into a local replica — the deployable shape of the store.
 //!
 //! Backend selection is a *configuration* concern: the runtime is generic
 //! over `B: DdsBackend` and `ampc_runtime::AmpcConfig` picks the

@@ -25,9 +25,11 @@
 //!
 //! Swap the transport for [`crate::TcpTransport`] and the identical owner
 //! loop speaks length-prefixed [`crate::proto`] frames over sockets, with
-//! the `Arc` hand-off replaced by a fetched [`crate::proto::EpochFrame`]
-//! replica — that instantiation is [`crate::TcpBackend`], and the
-//! conformance suites hold both to byte-identical behaviour.
+//! the `Arc` hand-off replaced by a replica the client transport decodes
+//! straight from the epoch frame (delivered as the same
+//! [`crate::transport::ClientReply::Epoch`]) — that instantiation is
+//! [`crate::TcpBackend`], and the conformance suites hold both to
+//! byte-identical behaviour.
 //!
 //! Owner threads are reaped when the backend drops; views keep the shared
 //! epoch `Arc`s, so they stay valid — and their reads byte-identical — for

@@ -15,10 +15,10 @@
 //! * **Commits** — partitioned per owner by shard range and pipelined, one
 //!   `Commit` per owning endpoint, exactly like [`RemoteBackend`] does per
 //!   worker connection.
-//! * **Reads** — unchanged from [`RemoteBackend`]: each advance rebuilds a
-//!   local replica of every owner's frozen shard group, so the view is a
-//!   plain [`RemoteSnapshot`] (with ranged routing) and reads never touch
-//!   the wire.
+//! * **Reads** — unchanged from [`RemoteBackend`]: each advance decodes
+//!   every owner's epoch frame straight into a local replica of its frozen
+//!   shard group, so the view is a plain [`RemoteSnapshot`] (with ranged
+//!   routing) and reads never touch the wire.
 //! * **Advance** — the one genuinely distributed step.  With one owner,
 //!   `Advance` freezes and publishes atomically inside the owner; with
 //!   many owners that atomicity has to be built, and this module builds it
@@ -46,8 +46,8 @@
 //! many times the publish is retransmitted.
 //!
 //! Epoch frames are fetched **in parallel** (one thread per owner) during
-//! phase 2: frame decode and replica rebuild dominate advance latency, and
-//! they are per-owner independent.
+//! phase 2: decoding a frame into its replica dominates advance latency,
+//! and it is per-owner independent.
 
 use crate::backend::DdsBackend;
 use crate::key::{Key, Value};
@@ -58,7 +58,6 @@ use crate::stats::ShardLoad;
 use crate::transport::{
     panic_message, ClientReply, RequestFaults, TcpOptions, TcpTransport, Transport, TransportError,
 };
-use crate::FxHashMap;
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -203,19 +202,7 @@ impl<const OWNERS: usize> ClusterBackend<OWNERS> {
         &mut self,
         batches: Vec<Vec<(Key, Value)>>,
     ) -> Result<u64, TransportError> {
-        type OwnerBuckets = Vec<(usize, Vec<(Key, Value)>)>;
-        let mut buckets: Vec<OwnerBuckets> = vec![Vec::new(); OWNERS];
-        let mut bucket_index: FxHashMap<(usize, usize), usize> = FxHashMap::default();
-        for batch in batches {
-            for (key, value) in batch {
-                let (owner, local) = self.routing.route(&key);
-                let slot = *bucket_index.entry((owner, local)).or_insert_with(|| {
-                    buckets[owner].push((local, Vec::new()));
-                    buckets[owner].len() - 1
-                });
-                buckets[owner][slot].1.push((key, value));
-            }
-        }
+        let buckets = self.routing.partition(batches);
         let epoch = self.completed;
         let mut pending = Vec::with_capacity(OWNERS);
         for (owner, batches) in buckets.into_iter().enumerate() {
@@ -265,8 +252,8 @@ impl<const OWNERS: usize> ClusterBackend<OWNERS> {
                 other => return Err(protocol(owner, "a freeze ack", &other)),
             }
         }
-        // Phase 2 — publish everywhere, fetching and rebuilding the frames
-        // in parallel (replica rebuild dominates advance latency).
+        // Phase 2 — publish everywhere, fetching and decoding the frames
+        // into replicas in parallel (the decode dominates advance latency).
         let groups: Result<Vec<Arc<FrozenEpoch>>, TransportError> = std::thread::scope(|scope| {
             let fetchers: Vec<_> = self
                 .owners
@@ -276,13 +263,10 @@ impl<const OWNERS: usize> ClusterBackend<OWNERS> {
                     scope.spawn(move || -> Result<Arc<FrozenEpoch>, TransportError> {
                         owner.send(Request::PublishEpoch { epoch })?;
                         match owner.recv()? {
-                            ClientReply::Wire(Reply::Epoch(frame)) => {
-                                Ok(Arc::new(FrozenEpoch::from_frame(frame)))
-                            }
+                            ClientReply::Epoch(replica) => Ok(replica),
                             ClientReply::Wire(other) => {
                                 Err(protocol(node, "a published epoch", &other))
                             }
-                            ClientReply::SharedEpoch(shared) => Ok(shared),
                         }
                     })
                 })
@@ -364,7 +348,7 @@ impl<const OWNERS: usize> ClusterBackend<OWNERS> {
     fn recv_wire(&mut self, owner: usize) -> Result<Reply, TransportError> {
         match self.owners[owner].recv()? {
             ClientReply::Wire(reply) => Ok(reply),
-            ClientReply::SharedEpoch(_) => Err(TransportError::Protocol {
+            ClientReply::Epoch(_) => Err(TransportError::Protocol {
                 worker: owner,
                 message: "unsolicited epoch publication".to_string(),
             }),

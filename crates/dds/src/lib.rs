@@ -67,9 +67,11 @@
 //! * [`proto`] — the protocol as data: serializable [`proto::Request`] /
 //!   [`proto::Reply`] types (`Commit` / `Advance` / `Loads` / `Dump` /
 //!   `TotalWrites`), a byte codec built on the constant-size pair encoding
-//!   of [`codec`], a framed epoch-snapshot payload ([`proto::EpochFrame`])
-//!   for fetching frozen maps across a process boundary, and
-//!   length-prefixed framing with a hard size cap.
+//!   of [`codec`], an epoch-snapshot payload for fetching frozen maps
+//!   across a process boundary (typed as [`proto::EpochFrame`]; the wire
+//!   backends encode and decode the same bytes straight between the
+//!   owner's frozen maps and the client's replica), and length-prefixed
+//!   framing with a hard size cap.
 //! * [`transport`] — one connection between a backend and one shard-group
 //!   owner, itself split into three layers: `transport::codec` (framing
 //!   over pooled, reused buffers — zero steady-state allocations, one

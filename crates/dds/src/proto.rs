@@ -16,10 +16,13 @@
 //!   integer is little-endian; every collection is a `u32` count followed by
 //!   its elements.  Decoders reject truncated buffers, unknown tags and
 //!   trailing garbage with a typed [`ProtoError`].
-//! * [`EpochFrame`] — the framed payload of a frozen epoch: per-shard write
-//!   counts plus every `(key, values)` entry.  This is how a remote peer
-//!   fetches the frozen maps that the in-process transport hands over as an
-//!   `Arc` (see [`crate::transport`]).
+//! * [`EpochFrame`] — the typed form of a frozen epoch's payload: per-shard
+//!   write counts plus every `(key, values)` entry.  On the wire backends the
+//!   same bytes travel without the typed detour: owners encode their frozen
+//!   shard maps straight into the frame buffer and clients decode it straight
+//!   into a local replica (see [`crate::transport`]).  One epoch-shard writer
+//!   and one epoch-shard reader serve both paths, so the layout lives in one
+//!   place.
 //! * [`write_frame`] / [`read_frame`] — length-prefixed framing over any
 //!   `Write`/`Read`, with a hard [`MAX_FRAME_BYTES`] cap so a corrupt or
 //!   hostile length prefix can never trigger an unbounded allocation.
@@ -30,10 +33,11 @@
 //! `tests/backend_determinism.rs`), and `crates/dds/tests/proto_roundtrip.rs`
 //! pins the codec itself with property tests.
 
-use crate::codec::{
-    decode_key, decode_value, ENCODED_KEY_BYTES, ENCODED_PAIR_BYTES, ENCODED_VALUE_BYTES,
-};
-use crate::key::{Key, Value};
+use crate::codec::{ENCODED_KEY_BYTES, ENCODED_PAIR_BYTES, ENCODED_VALUE_BYTES};
+use crate::hashing::FxHashMap;
+use crate::key::{Key, KeyTag, Value};
+use crate::remote::FrozenEpoch;
+use crate::slot::Slot;
 use crate::stats::ShardLoad;
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
@@ -111,8 +115,8 @@ pub enum Request {
         batches: Vec<(usize, Vec<(Key, Value)>)>,
     },
     /// Freeze the writable epoch in place, open the next one, and publish
-    /// the frozen epoch (as a shared `Arc` in-process, as an
-    /// [`EpochFrame`] over the wire).
+    /// the frozen epoch (as a shared `Arc` in-process, as an epoch frame
+    /// decoded into a client-side replica over the wire).
     Advance {
         /// Index of the epoch being frozen.
         epoch: usize,
@@ -130,7 +134,7 @@ pub enum Request {
         epoch: usize,
     },
     /// Phase 2 of the two-phase barrier: publish the epoch prepared by
-    /// [`Request::FreezeEpoch`] and answer with its [`EpochFrame`].
+    /// [`Request::FreezeEpoch`] and answer with its epoch frame.
     /// Idempotent: a replayed publish of an already-published epoch
     /// re-sends the same frame, which is what makes a sever between
     /// freeze and publish recoverable.
@@ -262,9 +266,12 @@ pub enum Reply {
         /// Number of pairs accepted by this owner.
         accepted: u64,
     },
-    /// [`Request::Advance`] answered with the frozen epoch's serialized
-    /// contents (wire transports only; in-process transports publish the
-    /// epoch as a shared `Arc` instead and never materialize this variant).
+    /// [`Request::Advance`] / [`Request::PublishEpoch`] answered with the
+    /// frozen epoch's serialized contents — the typed view of the epoch
+    /// frame.  Transports never materialize it: owners encode their frozen
+    /// maps directly and clients decode the frame directly into a replica
+    /// (the `encode_epoch_into` / `decode_epoch_replica` pair, which shares
+    /// this variant's byte layout).
     Epoch(EpochFrame),
     /// [`Request::Loads`] answered.
     Loads(Vec<ShardLoad>),
@@ -352,8 +359,8 @@ impl ShardMap {
     }
 }
 
-/// Serialized frozen epoch of one owner's shard group: the payload a remote
-/// peer fetches in place of the in-process `Arc` hand-off.
+/// Serialized frozen epoch of one owner's shard group: the typed form of the
+/// payload a remote peer fetches in place of the in-process `Arc` hand-off.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct EpochFrame {
     /// `shards[local]` — the owner's `local`-th shard.
@@ -367,7 +374,7 @@ pub struct ShardFrame {
     pub writes: u64,
     /// Every `(key, values)` entry of the shard, values in commit order.
     /// Entry order is unspecified (hash-map iteration order) — lookups are
-    /// keyed, so replicas rebuilt from a frame read identically.
+    /// keyed, so replicas decoded from a frame read identically.
     pub entries: Vec<(Key, Vec<Value>)>,
 }
 
@@ -461,21 +468,33 @@ fn put_u64(buf: &mut Vec<u8>, value: u64) {
 }
 
 fn put_key(buf: &mut Vec<u8>, key: &Key) {
-    // The layout of [`crate::codec::encode_key`], written in place: the hot
-    // encode path of a commit frame must not allocate per pair.
-    put_u32(buf, key.tag.code());
-    put_u64(buf, key.a);
-    put_u64(buf, key.b);
+    // The layout of [`crate::codec::encode_key`], written in place as one
+    // fixed-size copy: the hot encode paths of commit and epoch frames must
+    // not allocate, or grow-check the buffer per field, per pair.
+    let mut bytes = [0u8; ENCODED_KEY_BYTES];
+    bytes[..4].copy_from_slice(&key.tag.code().to_le_bytes());
+    bytes[4..12].copy_from_slice(&key.a.to_le_bytes());
+    bytes[12..].copy_from_slice(&key.b.to_le_bytes());
+    buf.extend_from_slice(&bytes);
 }
 
 fn put_value(buf: &mut Vec<u8>, value: &Value) {
     // The layout of [`crate::codec::encode_value`], written in place.
-    put_u64(buf, value.x);
-    put_u64(buf, value.y);
+    let mut bytes = [0u8; ENCODED_VALUE_BYTES];
+    bytes[..8].copy_from_slice(&value.x.to_le_bytes());
+    bytes[8..].copy_from_slice(&value.y.to_le_bytes());
+    buf.extend_from_slice(&bytes);
 }
 
-fn put_entries(buf: &mut Vec<u8>, entries: &[(Key, Vec<Value>)]) {
-    put_u32(buf, entries.len() as u32);
+/// An entry list: a `u32` count, then per entry the key, a `u32` value
+/// count and the values in commit order.  `count` must equal the number of
+/// entries the iterator yields.
+fn put_entries<'a>(
+    buf: &mut Vec<u8>,
+    count: usize,
+    entries: impl Iterator<Item = (&'a Key, &'a [Value])>,
+) {
+    put_u32(buf, count as u32);
     for (key, values) in entries {
         put_key(buf, key);
         put_u32(buf, values.len() as u32);
@@ -483,6 +502,19 @@ fn put_entries(buf: &mut Vec<u8>, entries: &[(Key, Vec<Value>)]) {
             put_value(buf, value);
         }
     }
+}
+
+/// The one epoch-shard writer: the shard's write count, then its entry
+/// list.  Both epoch encoders — the typed [`Reply::Epoch`] arm of
+/// [`encode_reply_into`] and [`encode_epoch_into`] — go through it.
+fn put_epoch_shard<'a>(
+    buf: &mut Vec<u8>,
+    writes: u64,
+    count: usize,
+    entries: impl Iterator<Item = (&'a Key, &'a [Value])>,
+) {
+    put_u64(buf, writes);
+    put_entries(buf, count, entries);
 }
 
 /// Encode a [`Request`] into its wire payload (no length prefix).
@@ -577,8 +609,8 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
             buf.push(TAG_EPOCH);
             put_u32(buf, frame.shards.len() as u32);
             for shard in &frame.shards {
-                put_u64(buf, shard.writes);
-                put_entries(buf, &shard.entries);
+                let entries = shard.entries.iter().map(|(key, values)| (key, &values[..]));
+                put_epoch_shard(buf, shard.writes, shard.entries.len(), entries);
             }
         }
         Reply::Loads(loads) => {
@@ -593,7 +625,8 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
         }
         Reply::Dump(entries) => {
             buf.push(TAG_DUMP_REPLY);
-            put_entries(buf, entries);
+            let iter = entries.iter().map(|(key, values)| (key, &values[..]));
+            put_entries(buf, entries.len(), iter);
         }
         Reply::TotalWrites(total) => {
             buf.push(TAG_TOTAL_WRITES_REPLY);
@@ -631,6 +664,21 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
     }
 }
 
+/// Encode a frozen epoch straight from its shard maps into an epoch reply
+/// payload (cleared first, capacity retained) — byte-identical to
+/// [`encode_reply_into`] of a [`Reply::Epoch`] holding the same entries in
+/// map iteration order, without building that [`EpochFrame`] in between.
+/// The owner side of the wire backends' epoch publication.
+pub(crate) fn encode_epoch_into(buf: &mut Vec<u8>, epoch: &FrozenEpoch) {
+    buf.clear();
+    buf.push(TAG_EPOCH);
+    put_u32(buf, epoch.shards.len() as u32);
+    for (map, &writes) in epoch.shards.iter().zip(&epoch.writes) {
+        let entries = map.iter().map(|(key, slot)| (key, slot.as_slice()));
+        put_epoch_shard(buf, writes, map.len(), entries);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
@@ -658,28 +706,42 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1, context)?[0])
     }
 
+    /// The next `N` bytes, as an array.
+    fn array<const N: usize>(&mut self, context: &'static str) -> Result<&'a [u8; N], ProtoError> {
+        let (head, rest) = self
+            .bytes
+            .split_first_chunk()
+            .ok_or(ProtoError::Truncated { context })?;
+        self.bytes = rest;
+        Ok(head)
+    }
+
     fn u32(&mut self, context: &'static str) -> Result<u32, ProtoError> {
-        let bytes = self.take(4, context)?;
-        // lint: allow(panic) — infallible: take() just returned exactly 4 bytes
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4-byte take")))
+        Ok(u32::from_le_bytes(*self.array(context)?))
     }
 
     fn u64(&mut self, context: &'static str) -> Result<u64, ProtoError> {
-        let bytes = self.take(8, context)?;
-        // lint: allow(panic) — infallible: take() just returned exactly 8 bytes
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8-byte take")))
+        Ok(u64::from_le_bytes(*self.array(context)?))
     }
 
+    /// A key in the layout of [`crate::codec::encode_key`].
     fn key(&mut self) -> Result<Key, ProtoError> {
-        let bytes = self.take(ENCODED_KEY_BYTES, "key")?;
-        // take() guaranteed the length, so the only way to fail is an
+        let mut key = Cursor::new(self.array::<ENCODED_KEY_BYTES>("key")?);
+        let (code, a, b) = (key.u32("key")?, key.u64("key")?, key.u64("key")?);
+        // The length was checked whole, so the only way to fail is an
         // unassigned tag code — malformed, not truncated.
-        decode_key(bytes).ok_or(ProtoError::Malformed { context: "key tag" })
+        let tag =
+            KeyTag::try_from_code(code).ok_or(ProtoError::Malformed { context: "key tag" })?;
+        Ok(Key { tag, a, b })
     }
 
+    /// A value in the layout of [`crate::codec::encode_value`].
     fn value(&mut self) -> Result<Value, ProtoError> {
-        let bytes = self.take(ENCODED_VALUE_BYTES, "value")?;
-        decode_value(bytes).ok_or(ProtoError::Truncated { context: "value" })
+        let mut value = Cursor::new(self.array::<ENCODED_VALUE_BYTES>("value")?);
+        Ok(Value {
+            x: value.u64("value")?,
+            y: value.u64("value")?,
+        })
     }
 
     /// A `u32` element count, validated against the bytes actually left
@@ -708,23 +770,118 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn get_values(cursor: &mut Cursor<'_>) -> Result<Vec<Value>, ProtoError> {
-    let count = cursor.count(ENCODED_VALUE_BYTES, "values")?;
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(cursor.value()?);
-    }
-    Ok(values)
+/// The encoded values of one entry: a cursor over exactly `count` values.
+struct Values<'a> {
+    count: usize,
+    cursor: Cursor<'a>,
 }
 
-fn get_entries(cursor: &mut Cursor<'_>) -> Result<Vec<(Key, Vec<Value>)>, ProtoError> {
+impl Values<'_> {
+    #[inline]
+    fn next(&mut self) -> Result<Value, ProtoError> {
+        self.cursor.value()
+    }
+
+    #[inline]
+    fn collect(mut self) -> Result<Vec<Value>, ProtoError> {
+        let mut values = Vec::with_capacity(self.count);
+        for _ in 0..self.count {
+            values.push(self.next()?);
+        }
+        Ok(values)
+    }
+}
+
+/// What an entry list decodes into: the typed `Vec` of [`Reply::Dump`] and
+/// [`ShardFrame`], or a replica's frozen shard map.
+trait EntrySink: Sized {
+    fn with_capacity(count: usize) -> Self;
+    fn push(&mut self, key: Key, values: Values<'_>) -> Result<(), ProtoError>;
+}
+
+impl EntrySink for Vec<(Key, Vec<Value>)> {
+    fn with_capacity(count: usize) -> Self {
+        Vec::with_capacity(count)
+    }
+
+    #[inline]
+    fn push(&mut self, key: Key, values: Values<'_>) -> Result<(), ProtoError> {
+        Vec::push(self, (key, values.collect()?));
+        Ok(())
+    }
+}
+
+impl EntrySink for FxHashMap<Key, Slot> {
+    fn with_capacity(count: usize) -> Self {
+        let mut map = FxHashMap::default();
+        map.reserve(count);
+        map
+    }
+
+    /// Singletons stay inline; owners never emit empty entries, and one
+    /// arriving anyway is skipped rather than stored as a readable key.
+    #[inline]
+    fn push(&mut self, key: Key, mut values: Values<'_>) -> Result<(), ProtoError> {
+        let slot = match values.count {
+            0 => return Ok(()),
+            1 => Slot::One(values.next()?),
+            _ => Slot::Many(values.collect()?),
+        };
+        self.insert(key, slot);
+        Ok(())
+    }
+}
+
+/// An entry list written by [`put_entries`].  Both counts are validated
+/// against the bytes left before anything is allocated.
+fn get_entries<E: EntrySink>(cursor: &mut Cursor<'_>) -> Result<E, ProtoError> {
     let count = cursor.count(ENCODED_KEY_BYTES + 4, "entries")?;
-    let mut entries = Vec::with_capacity(count);
+    let mut entries = E::with_capacity(count);
     for _ in 0..count {
         let key = cursor.key()?;
-        entries.push((key, get_values(cursor)?));
+        let values = cursor.count(ENCODED_VALUE_BYTES, "values")?;
+        let bytes = cursor.take(values * ENCODED_VALUE_BYTES, "values")?;
+        entries.push(
+            key,
+            Values {
+                count: values,
+                cursor: Cursor::new(bytes),
+            },
+        )?;
     }
     Ok(entries)
+}
+
+/// The one epoch-shard reader: the shard count, then per shard its write
+/// count and entry list.  Both epoch decoders — the typed [`Reply::Epoch`]
+/// arm of [`decode_reply`] and [`decode_epoch_replica`] — go through it.
+fn get_epoch_shards<E: EntrySink>(cursor: &mut Cursor<'_>) -> Result<Vec<(u64, E)>, ProtoError> {
+    let shard_count = cursor.count(12, "epoch shards")?;
+    let mut shards = Vec::with_capacity(shard_count);
+    for _ in 0..shard_count {
+        let writes = cursor.u64("shard writes")?;
+        shards.push((writes, get_entries(cursor)?));
+    }
+    Ok(shards)
+}
+
+/// Decode an epoch reply straight into a [`FrozenEpoch`] replica — no
+/// [`EpochFrame`] in between, singletons stored inline.  `None` when
+/// `bytes` is not an epoch reply (decode it with [`decode_reply`]); the
+/// replica keeps every check of the typed decoder (count validation,
+/// truncation, key tags, trailing bytes).  The client side of the wire
+/// backends' epoch publication.
+pub(crate) fn decode_epoch_replica(bytes: &[u8]) -> Option<Result<FrozenEpoch, ProtoError>> {
+    let (&TAG_EPOCH, body) = bytes.split_first()? else {
+        return None;
+    };
+    let mut cursor = Cursor::new(body);
+    let decoded = get_epoch_shards::<FxHashMap<Key, Slot>>(&mut cursor).and_then(|shards| {
+        cursor.finish()?;
+        let (writes, maps) = shards.into_iter().unzip();
+        Ok(FrozenEpoch::new(maps, writes))
+    });
+    Some(decoded)
 }
 
 /// Decode a [`Request`] from its wire payload.
@@ -800,16 +957,12 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, ProtoError> {
             epoch: cursor.u64("committed epoch")? as usize,
             accepted: cursor.u64("committed count")?,
         },
-        TAG_EPOCH => {
-            let shard_count = cursor.count(12, "epoch shards")?;
-            let mut shards = Vec::with_capacity(shard_count);
-            for _ in 0..shard_count {
-                let writes = cursor.u64("shard writes")?;
-                let entries = get_entries(&mut cursor)?;
-                shards.push(ShardFrame { writes, entries });
-            }
-            Reply::Epoch(EpochFrame { shards })
-        }
+        TAG_EPOCH => Reply::Epoch(EpochFrame {
+            shards: get_epoch_shards(&mut cursor)?
+                .into_iter()
+                .map(|(writes, entries)| ShardFrame { writes, entries })
+                .collect(),
+        }),
         TAG_LOADS_REPLY => {
             let count = cursor.count(32, "loads")?;
             let mut loads = Vec::with_capacity(count);
@@ -957,6 +1110,39 @@ pub fn read_frame<R: Read>(reader: &mut R, payload: &mut Vec<u8>) -> std::io::Re
 mod tests {
     use super::*;
     use crate::key::KeyTag;
+    use proptest::prelude::*;
+
+    /// The encoded epoch replies among [`sample_replies`] — every one of
+    /// them also goes through the replica decoder.
+    fn sample_epochs() -> Vec<Vec<u8>> {
+        sample_replies()
+            .iter()
+            .filter(|reply| matches!(reply, Reply::Epoch(_)))
+            .map(encode_reply)
+            .collect()
+    }
+
+    /// The replica decoder's verdict on `bytes`, which must be tagged as an
+    /// epoch reply.
+    fn replica(bytes: &[u8]) -> Result<FrozenEpoch, ProtoError> {
+        decode_epoch_replica(bytes).expect("tagged as an epoch reply")
+    }
+
+    /// A replica's entries as typed data, sorted by key.
+    fn replica_entries(epoch: &FrozenEpoch) -> Vec<Vec<(Key, Vec<Value>)>> {
+        epoch
+            .shards
+            .iter()
+            .map(|map| {
+                let mut entries: Vec<_> = map
+                    .iter()
+                    .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
+                    .collect();
+                entries.sort_by_key(|&(key, _)| key);
+                entries
+            })
+            .collect()
+    }
 
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1114,6 +1300,16 @@ mod tests {
                 );
             }
         }
+        for bytes in sample_epochs() {
+            // The empty prefix carries no tag, so it is not an epoch reply.
+            assert!(decode_epoch_replica(&[]).is_none());
+            for len in 1..bytes.len() {
+                assert!(
+                    replica(&bytes[..len]).is_err(),
+                    "epoch prefix of {len} bytes must not decode into a replica"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1124,6 +1320,12 @@ mod tests {
             decode_request(&bytes),
             Err(ProtoError::Trailing { remaining: 1 })
         );
+        for mut bytes in sample_epochs() {
+            bytes.extend_from_slice(&[0, 0]);
+            let trailing = ProtoError::Trailing { remaining: 2 };
+            assert_eq!(decode_reply(&bytes), Err(trailing.clone()));
+            assert_eq!(replica(&bytes).err(), Some(trailing));
+        }
     }
 
     #[test]
@@ -1159,6 +1361,21 @@ mod tests {
             decode_request(&bytes),
             Err(ProtoError::Malformed { context: "key tag" })
         );
+
+        // The same corruption inside an epoch reply, through both epoch
+        // decoders: a one-shard, one-entry, one-value frame ends with the
+        // key, its value count and the value.
+        let mut bytes = encode_reply(&Reply::Epoch(EpochFrame {
+            shards: vec![ShardFrame {
+                writes: 1,
+                entries: vec![(Key::of(KeyTag::Scalar, 7), vec![Value::scalar(8)])],
+            }],
+        }));
+        let key_at = bytes.len() - ENCODED_VALUE_BYTES - 4 - ENCODED_KEY_BYTES;
+        bytes[key_at..key_at + 4].copy_from_slice(&999u32.to_le_bytes());
+        let malformed = ProtoError::Malformed { context: "key tag" };
+        assert_eq!(decode_reply(&bytes), Err(malformed.clone()));
+        assert_eq!(replica(&bytes).err(), Some(malformed));
     }
 
     #[test]
@@ -1288,6 +1505,152 @@ mod tests {
             decode_reply(&bytes),
             Err(ProtoError::Truncated { context: "entries" })
         );
+
+        // Every count of an epoch reply — shards, a shard's entries, an
+        // entry's values — declaring u32::MAX in a short buffer, through
+        // both epoch decoders.
+        let huge = u32::MAX.to_le_bytes();
+        let mut shards = vec![TAG_EPOCH];
+        shards.extend_from_slice(&huge);
+        shards.extend_from_slice(&[0; 12]);
+        let mut entries = vec![TAG_EPOCH];
+        entries.extend_from_slice(&1u32.to_le_bytes());
+        entries.extend_from_slice(&5u64.to_le_bytes());
+        entries.extend_from_slice(&huge);
+        entries.extend_from_slice(&[0; 24]);
+        let mut values = vec![TAG_EPOCH];
+        values.extend_from_slice(&1u32.to_le_bytes());
+        values.extend_from_slice(&5u64.to_le_bytes());
+        values.extend_from_slice(&1u32.to_le_bytes());
+        values.extend_from_slice(&crate::codec::encode_key(&Key::of(KeyTag::Scalar, 1)));
+        values.extend_from_slice(&huge);
+        values.extend_from_slice(&[0; 16]);
+        for (bytes, context) in [
+            (shards, "epoch shards"),
+            (entries, "entries"),
+            (values, "values"),
+        ] {
+            let truncated = ProtoError::Truncated { context };
+            assert_eq!(decode_reply(&bytes), Err(truncated.clone()), "{context}");
+            assert_eq!(replica(&bytes).err(), Some(truncated), "{context}");
+        }
+    }
+
+    #[test]
+    fn replicas_store_singletons_inline_and_skip_empty_entries() {
+        let bytes = encode_reply(&Reply::Epoch(EpochFrame {
+            shards: vec![ShardFrame {
+                writes: 3,
+                entries: vec![
+                    (Key::of(KeyTag::Scalar, 1), vec![Value::scalar(1)]),
+                    (Key::of(KeyTag::Scalar, 2), Vec::new()),
+                    (
+                        Key::of(KeyTag::Scalar, 3),
+                        vec![Value::scalar(2), Value::scalar(3)],
+                    ),
+                ],
+            }],
+        }));
+        let epoch = replica(&bytes).unwrap();
+        let map = &epoch.shards[0];
+        assert_eq!(map.len(), 2, "the zero-value entry is skipped");
+        assert_eq!(
+            map.get(&Key::of(KeyTag::Scalar, 1)),
+            Some(&Slot::One(Value::scalar(1)))
+        );
+        assert_eq!(
+            map.get(&Key::of(KeyTag::Scalar, 3)),
+            Some(&Slot::Many(vec![Value::scalar(2), Value::scalar(3)]))
+        );
+        assert_eq!(epoch.writes, vec![3]);
+        assert_eq!(epoch.reads.len(), 1);
+        // Any other reply is left to the typed decoder.
+        for reply in sample_replies() {
+            let bytes = encode_reply(&reply);
+            let is_epoch = matches!(reply, Reply::Epoch(_));
+            assert_eq!(decode_epoch_replica(&bytes).is_some(), is_epoch);
+        }
+    }
+
+    /// Epoch frames whose shards hold distinct keys (as every owner's
+    /// frozen maps do) with zero to three values each.
+    fn arbitrary_epoch() -> impl Strategy<Value = EpochFrame> {
+        let entry = (
+            0u32..8,
+            0u64..48,
+            proptest::collection::vec(any::<u64>(), 0..4),
+        );
+        let shard = (any::<u64>(), proptest::collection::vec(entry, 0..24));
+        proptest::collection::vec(shard, 0..4).prop_map(|shards| EpochFrame {
+            shards: shards
+                .into_iter()
+                .map(|(writes, raw)| {
+                    let mut seen = std::collections::HashSet::new();
+                    let entries = raw
+                        .into_iter()
+                        .map(|(tag, a, xs)| {
+                            let key = Key::of(KeyTag::from_code(tag), a);
+                            (key, xs.into_iter().map(Value::scalar).collect())
+                        })
+                        .filter(|(key, _)| seen.insert(*key))
+                        .collect();
+                    ShardFrame { writes, entries }
+                })
+                .collect(),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+
+        /// The replica decoded from a typed epoch reply holds exactly the
+        /// frame's non-empty entries and its write counts, and encoding that
+        /// replica straight from its maps yields the bytes the typed encoder
+        /// produces for the same entries in the same order.
+        #[test]
+        fn replicas_match_their_typed_frames(frame in arbitrary_epoch()) {
+            let bytes = encode_reply(&Reply::Epoch(frame.clone()));
+            let epoch = replica(&bytes).expect("a well-formed frame");
+
+            let expected: Vec<Vec<(Key, Vec<Value>)>> = frame
+                .shards
+                .iter()
+                .map(|shard| {
+                    let mut entries: Vec<_> = shard
+                        .entries
+                        .iter()
+                        .filter(|(_, values)| !values.is_empty())
+                        .cloned()
+                        .collect();
+                    entries.sort_by_key(|&(key, _)| key);
+                    entries
+                })
+                .collect();
+            prop_assert_eq!(replica_entries(&epoch), expected);
+            let writes: Vec<u64> = frame.shards.iter().map(|shard| shard.writes).collect();
+            prop_assert_eq!(&epoch.writes, &writes);
+            for slot in epoch.shards.iter().flat_map(|map| map.values()) {
+                prop_assert_eq!(matches!(slot, Slot::One(_)), slot.len() == 1);
+            }
+
+            let mut direct = vec![0xEE]; // stale contents must be cleared
+            encode_epoch_into(&mut direct, &epoch);
+            let in_map_order = EpochFrame {
+                shards: epoch
+                    .shards
+                    .iter()
+                    .zip(&epoch.writes)
+                    .map(|(map, &writes)| ShardFrame {
+                        writes,
+                        entries: map
+                            .iter()
+                            .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
+                            .collect(),
+                    })
+                    .collect(),
+            };
+            prop_assert_eq!(direct, encode_reply(&Reply::Epoch(in_map_order)));
+        }
     }
 
     #[test]

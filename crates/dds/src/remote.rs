@@ -10,12 +10,15 @@
 //!   published zero-copy as shared `Arc`s;
 //! * `RemoteBackend<TcpTransport>` ([`TcpBackend`]) runs the identical owner
 //!   loop behind localhost sockets — every request and reply round-trips
-//!   through the byte codec, and frozen epochs are fetched as
-//!   [`crate::proto::EpochFrame`]s and rebuilt into local replicas.
+//!   through the byte codec.  A frozen epoch travels in one pass per side:
+//!   the owner encodes its frozen shard maps straight into the frame
+//!   buffer, and the client transport decodes the frame straight into a
+//!   local replica.
 //!
-//! Either way, a round's reads resolve **locally and lock-free**: the view
-//! holds one [`FrozenEpoch`] per owner (shared or replicated — machine code
-//! cannot tell) and probes its immutable maps directly.  Only the
+//! Either way the transport hands the backend a [`ClientReply::Epoch`], and
+//! a round's reads resolve **locally and lock-free**: the view holds one
+//! [`FrozenEpoch`] per owner (shared or replicated — machine code cannot
+//! tell) and probes its immutable maps directly.  Only the
 //! write-side protocol (`Commit`, `Advance`) and the driver-side requests
 //! (`Loads`, `Dump`, `TotalWrites`) cross the transport.
 //!
@@ -25,11 +28,12 @@
 //! on an opaque broken channel.
 
 use crate::backend::{DdsBackend, SnapshotView};
-use crate::hashing::{hash_words, FxHashMap};
+use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
-use crate::proto::{EpochFrame, Reply, Request, ShardFrame};
+use crate::proto::{Reply, Request};
 use crate::slot::Slot;
 use crate::stats::{ShardLoad, StoreStats};
+use crate::store::{partition_by_shard, shard_index};
 use crate::transport::dispatch::Worker;
 use crate::transport::{
     ClientReply, RequestFaults, TcpOptions, TcpTransport, Transport, TransportError,
@@ -52,9 +56,9 @@ pub type TcpBackend = RemoteBackend<TcpTransport>;
 ///
 /// On shared-memory transports the owner and every view hold the *same*
 /// allocation (the zero-copy publication); on wire transports each view
-/// holds a replica rebuilt from the fetched [`EpochFrame`].  The maps are
-/// immutable once published; the read counters are atomics so concurrent
-/// machine threads and the accounting agree without locks.
+/// holds a replica the transport decoded straight from the epoch frame.
+/// The maps are immutable once published; the read counters are atomics so
+/// concurrent machine threads and the accounting agree without locks.
 pub struct FrozenEpoch {
     /// `shards[local]` — frozen map of the group's `local`-th shard.
     pub(crate) shards: Vec<FxHashMap<Key, Slot>>,
@@ -65,46 +69,9 @@ pub struct FrozenEpoch {
 }
 
 impl FrozenEpoch {
-    /// Serialize for the wire ([`Reply::Epoch`]).
-    pub(crate) fn to_frame(&self) -> EpochFrame {
-        EpochFrame {
-            shards: self
-                .shards
-                .iter()
-                .zip(&self.writes)
-                .map(|(map, &writes)| ShardFrame {
-                    writes,
-                    entries: map
-                        .iter()
-                        .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuild a local replica from a fetched frame.
-    pub(crate) fn from_frame(frame: EpochFrame) -> FrozenEpoch {
-        let mut shards = Vec::with_capacity(frame.shards.len());
-        let mut writes = Vec::with_capacity(frame.shards.len());
-        for shard in frame.shards {
-            let mut map = FxHashMap::default();
-            map.reserve(shard.entries.len());
-            for (key, mut values) in shard.entries {
-                let slot = if values.len() == 1 {
-                    Slot::One(values[0])
-                } else if values.is_empty() {
-                    // Owners never emit empty entries; skip defensively.
-                    continue;
-                } else {
-                    values.shrink_to_fit();
-                    Slot::Many(values)
-                };
-                map.insert(key, slot);
-            }
-            shards.push(map);
-            writes.push(shard.writes);
-        }
+    /// An epoch over `shards[local]` built from `writes[local]` writes,
+    /// with every read counter at zero.
+    pub(crate) fn new(shards: Vec<FxHashMap<Key, Slot>>, writes: Vec<u64>) -> FrozenEpoch {
         let reads = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         FrozenEpoch {
             shards,
@@ -117,6 +84,9 @@ impl FrozenEpoch {
 // ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
+
+/// Per-owner `Commit` payloads: `batches[owner]` = `(local shard, pairs)`.
+pub(crate) type CommitBatches = Vec<Vec<(usize, Vec<(Key, Value)>)>>;
 
 /// Key → (owner, local shard) routing, shared by backend and views.
 #[derive(Clone, Debug)]
@@ -173,9 +143,39 @@ impl Routing {
         self.num_shards
     }
 
+    /// Number of owner groups.
+    pub(crate) fn owners(&self) -> usize {
+        match &self.placement {
+            Placement::Interleaved { workers } => *workers,
+            Placement::Ranged { starts } => starts.len() - 1,
+        }
+    }
+
     #[inline]
     fn shard_of(&self, key: &Key) -> usize {
-        (hash_words(key.tag.code(), key.a, key.b) % self.num_shards as u64) as usize
+        shard_index(key, self.num_shards)
+    }
+
+    /// Partition ordered write batches into one `Commit` payload per owner:
+    /// `per_owner[o]` lists `(local shard, pairs)` for every non-empty
+    /// shard of owner `o`, ascending by local index.
+    ///
+    /// Pairs are bucketed by global shard index first — the pass of
+    /// [`crate::ShardedStore::partition_writes`], one vector index per
+    /// pair — and only the non-empty shards are then placed.  Batch order,
+    /// then write order, is preserved within every shard, which (keys
+    /// living on exactly one shard) preserves every key's multi-value
+    /// index order.
+    pub(crate) fn partition(&self, batches: Vec<Vec<(Key, Value)>>) -> CommitBatches {
+        let mut per_owner: CommitBatches = vec![Vec::new(); self.owners()];
+        let per_shard = partition_by_shard(self.num_shards, batches);
+        for (shard, pairs) in per_shard.into_iter().enumerate() {
+            if !pairs.is_empty() {
+                let (owner, local) = self.placement(shard);
+                per_owner[owner].push((local, pairs));
+            }
+        }
+        per_owner
     }
 
     /// (owner, local shard index) owning `key`.
@@ -297,7 +297,7 @@ impl<T: Transport> RemoteBackend<T> {
     fn recv_wire(&mut self, worker: usize) -> Result<Reply, TransportError> {
         match self.recv(worker)? {
             ClientReply::Wire(reply) => Ok(reply),
-            ClientReply::SharedEpoch(_) => Err(TransportError::Protocol {
+            ClientReply::Epoch(_) => Err(TransportError::Protocol {
                 worker,
                 message: "unsolicited epoch publication".to_string(),
             }),
@@ -311,25 +311,9 @@ impl<T: Transport> RemoteBackend<T> {
         &mut self,
         batches: Vec<Vec<(Key, Value)>>,
     ) -> Result<u64, TransportError> {
-        // Partition into per-(worker, local shard) buckets.  Concatenation
-        // order is preserved bucket-wise, which — keys living on exactly one
-        // shard — preserves every key's multi-value index order.
-        let workers = self.clients.len();
-        type WorkerBuckets = Vec<(usize, Vec<(Key, Value)>)>;
-        let mut buckets: Vec<WorkerBuckets> = vec![Vec::new(); workers];
-        let mut bucket_index: FxHashMap<(usize, usize), usize> = FxHashMap::default();
-        for batch in batches {
-            for (key, value) in batch {
-                let (worker, local) = self.routing.route(&key);
-                let slot = *bucket_index.entry((worker, local)).or_insert_with(|| {
-                    buckets[worker].push((local, Vec::new()));
-                    buckets[worker].len() - 1
-                });
-                buckets[worker][slot].1.push((key, value));
-            }
-        }
+        let buckets = self.routing.partition(batches);
         let epoch = self.completed;
-        let mut pending = Vec::with_capacity(workers);
+        let mut pending = Vec::with_capacity(buckets.len());
         for (worker, batches) in buckets.into_iter().enumerate() {
             if !batches.is_empty() {
                 let seq = self.next_seq;
@@ -362,7 +346,7 @@ impl<T: Transport> RemoteBackend<T> {
 
     /// Fallible [`DdsBackend::advance`]: pipeline one `Advance` per owner,
     /// then collect each frozen epoch — shared when the transport can, a
-    /// replica rebuilt from the fetched frame when it cannot.
+    /// replica the transport decoded from the frame when it cannot.
     pub fn try_advance(&mut self) -> Result<RemoteSnapshot, TransportError> {
         let epoch = self.completed;
         for worker in 0..self.clients.len() {
@@ -371,10 +355,7 @@ impl<T: Transport> RemoteBackend<T> {
         let mut groups = Vec::with_capacity(self.clients.len());
         for worker in 0..self.clients.len() {
             match self.recv(worker)? {
-                ClientReply::SharedEpoch(shared) => groups.push(shared),
-                ClientReply::Wire(Reply::Epoch(frame)) => {
-                    groups.push(Arc::new(FrozenEpoch::from_frame(frame)))
-                }
+                ClientReply::Epoch(epoch) => groups.push(epoch),
                 ClientReply::Wire(other) => {
                     return Err(TransportError::Protocol {
                         worker,
@@ -953,30 +934,28 @@ mod tests {
     }
 
     #[test]
-    fn epoch_frames_rebuild_identical_replicas() {
+    fn epoch_frames_decode_into_identical_replicas() {
         let mut backend = RemoteBackend::<MpscTransport>::new(4, 1);
         backend.commit_round(
             vec![(0..30u64).map(|i| (k(i % 12), Value::scalar(i))).collect()],
             1,
         );
         let view = backend.advance(1);
-        // Round-trip the frozen epoch through its wire frame and compare
-        // every entry of the rebuilt replica.
-        let mut original = view.entries();
+        // Encode the shared frozen epoch the way an owner publishes it on
+        // the wire, decode it the way a client replicates it, and compare
+        // every shard map and write count of the replica.
         let shared = &view.inner.groups[0];
-        let replica = FrozenEpoch::from_frame(shared.to_frame());
-        let mut rebuilt: Vec<(Key, Vec<Value>)> = replica
+        let mut frame = Vec::new();
+        crate::proto::encode_epoch_into(&mut frame, shared);
+        let replica = crate::proto::decode_epoch_replica(&frame)
+            .expect("an epoch reply")
+            .expect("a well-formed frame");
+        assert_eq!(replica.shards, shared.shards);
+        assert_eq!(replica.writes, shared.writes);
+        assert!(replica
             .shards
             .iter()
-            .flat_map(|shard| {
-                shard
-                    .iter()
-                    .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
-            })
-            .collect();
-        original.sort_by_key(|&(key, _)| key);
-        rebuilt.sort_by_key(|&(key, _)| key);
-        assert_eq!(original, rebuilt);
-        assert_eq!(replica.writes, shared.writes);
+            .flat_map(|map| map.values())
+            .all(|slot| matches!(slot, Slot::One(_)) == (slot.len() == 1)));
     }
 }

@@ -55,6 +55,30 @@ impl Shard {
     }
 }
 
+/// The shard (DDS machine) of `key` in a store of `num_shards` shards — a
+/// pure function of the key, shared by every backend's routing.
+#[inline]
+pub(crate) fn shard_index(key: &Key, num_shards: usize) -> usize {
+    (hash_words(key.tag.code(), key.a, key.b) % num_shards as u64) as usize
+}
+
+/// Bucket ordered write batches by [`shard_index`], one vector index per
+/// pair: `per_shard[s]` holds shard `s`'s pairs in batch order, then write
+/// order.  The partition pass of [`ShardedStore::partition_writes`] and of
+/// the message-passing backends' commit routing.
+pub(crate) fn partition_by_shard(
+    num_shards: usize,
+    batches: impl IntoIterator<Item = impl IntoIterator<Item = (Key, Value)>>,
+) -> Vec<Vec<(Key, Value)>> {
+    let mut per_shard: Vec<Vec<(Key, Value)>> = (0..num_shards).map(|_| Vec::new()).collect();
+    for batch in batches {
+        for (key, value) in batch {
+            per_shard[shard_index(&key, num_shards)].push((key, value));
+        }
+    }
+    per_shard
+}
+
 /// The writable key-value store backing one AMPC round.
 ///
 /// Multi-value semantics follow Section 2 of the paper: if `k > 1` pairs are
@@ -89,7 +113,7 @@ impl ShardedStore {
     /// the key, as the model's contention analysis requires.
     #[inline]
     pub fn shard_of(&self, key: &Key) -> usize {
-        (hash_words(key.tag.code(), key.a, key.b) % self.num_shards as u64) as usize
+        shard_index(key, self.num_shards)
     }
 
     /// Append `value` under `key`.
@@ -121,14 +145,7 @@ impl ShardedStore {
         &self,
         batches: impl IntoIterator<Item = impl IntoIterator<Item = (Key, Value)>>,
     ) -> Vec<Vec<(Key, Value)>> {
-        let mut per_shard: Vec<Vec<(Key, Value)>> =
-            (0..self.num_shards).map(|_| Vec::new()).collect();
-        for batch in batches {
-            for (key, value) in batch {
-                per_shard[self.shard_of(&key)].push((key, value));
-            }
-        }
-        per_shard
+        partition_by_shard(self.num_shards, batches)
     }
 
     /// Partition write batches by destination shard **in parallel**: the
@@ -660,6 +677,46 @@ mod tests {
         for i in 0..3usize {
             assert_eq!(store.get_indexed(&k(9), i), Some(Value::scalar(i as u64)));
         }
+
+        // The message-passing backends' commit routing partitions through
+        // the same pass, then places each shard on its owner: interleaved,
+        // ranged, and ranged with an empty owner range in the middle.
+        use crate::remote::Routing;
+        let batches: Vec<Vec<(Key, Value)>> = (0..5u64)
+            .map(|machine| {
+                (0..40u64)
+                    .map(|i| (k(i % 13), Value::pair(machine, i)))
+                    .collect()
+            })
+            .collect();
+        for routing in [
+            Routing::interleaved(8, 3),
+            Routing::ranged(8, vec![0, 3, 5]),
+            Routing::ranged(8, vec![0, 4, 4]),
+        ] {
+            let per_owner = routing.partition(batches.clone());
+            assert_eq!(per_owner.len(), 3);
+            let mut seen = std::collections::HashMap::<Key, Vec<Value>>::new();
+            for (owner, shards) in per_owner.iter().enumerate() {
+                for (local, pairs) in shards {
+                    assert!(!pairs.is_empty(), "only non-empty shards are sent");
+                    for (key, value) in pairs {
+                        assert_eq!(routing.route(key), (owner, *local), "{routing:?}");
+                        seen.entry(*key).or_default().push(*value);
+                    }
+                }
+            }
+            // Every key's values arrive in batch order, then write order —
+            // exactly their order in the concatenated batches.
+            let mut expected = std::collections::HashMap::<Key, Vec<Value>>::new();
+            for (key, value) in batches.iter().flatten() {
+                expected.entry(*key).or_default().push(*value);
+            }
+            assert_eq!(seen, expected, "{routing:?}");
+        }
+        // An empty owner range holds no shard, so it is sent nothing.
+        let per_owner = Routing::ranged(8, vec![0, 4, 4]).partition(batches);
+        assert!(per_owner[1].is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::slot::Slot;
 use crate::stats::ShardLoad;
 use crate::transport::{OwnerReply, ServerTransport};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Commit acknowledgements remembered for deduplication.  Must exceed the
@@ -129,11 +129,7 @@ impl Worker {
             crate::slot::freeze_map_in_place(map);
         }
         let writes = std::mem::replace(&mut self.writable_writes, vec![0; shard_count]);
-        Arc::new(FrozenEpoch {
-            shards,
-            writes,
-            reads: (0..shard_count).map(|_| AtomicU64::new(0)).collect(),
-        })
+        Arc::new(FrozenEpoch::new(shards, writes))
     }
 
     /// Index of the epoch commits currently build: the published count,

@@ -48,14 +48,16 @@
 //! * [`MpscTransport`] — in-process channels.  Requests travel as typed
 //!   values (no serialization), and the `Advance` reply exercises the
 //!   transport's *shared-memory capability*: the owner publishes the frozen
-//!   epoch as an `Arc` ([`ClientReply::SharedEpoch`]) instead of
-//!   serializing it, which is the zero-copy fast path
-//!   [`crate::ChannelBackend`] has always had.
+//!   epoch as an `Arc` ([`ClientReply::Epoch`]) instead of serializing it,
+//!   which is the zero-copy fast path [`crate::ChannelBackend`] has always
+//!   had.
 //! * [`TcpTransport`] — sockets speaking length-prefixed [`crate::proto`]
 //!   frames (`std::net`, no external dependencies).  Every message
-//!   round-trips through the byte codec; `Advance` replies carry the full
-//!   [`crate::proto::EpochFrame`] so the client can rebuild a local replica
-//!   of the frozen maps.
+//!   round-trips through the byte codec.  An epoch crosses in one pass per
+//!   side: the owner encodes its frozen shard maps straight into the frame
+//!   buffer, and the client decodes the frame straight into a local replica
+//!   of the maps, handed to the backend as the same [`ClientReply::Epoch`]
+//!   the in-process transport delivers.
 //!
 //! # Connection lifecycle: lease → serve → reconnect → expire
 //!
@@ -338,12 +340,14 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<String> {
 
 /// What a client receives for one request.
 pub enum ClientReply {
-    /// A decoded wire reply.
+    /// A decoded wire reply (never [`Reply::Epoch`]: epochs arrive as
+    /// [`ClientReply::Epoch`] on every transport).
     Wire(Reply),
-    /// The frozen epoch published as shared memory — the zero-copy fast
-    /// path of in-process transports ([`MpscTransport`]).  Wire transports
-    /// deliver [`Reply::Epoch`] instead.
-    SharedEpoch(Arc<FrozenEpoch>),
+    /// A published frozen epoch, shared or replicated: in-process
+    /// transports ([`MpscTransport`]) hand over the owner's own `Arc` — the
+    /// zero-copy fast path — while wire transports ([`TcpTransport`])
+    /// decode the epoch frame straight into a local replica.
+    Epoch(Arc<FrozenEpoch>),
 }
 
 /// What an owner hands its transport to answer one request.
@@ -351,8 +355,9 @@ pub enum OwnerReply {
     /// An ordinary wire reply.
     Wire(Reply),
     /// A freshly frozen epoch.  Shared-memory transports forward the `Arc`
-    /// as-is ([`ClientReply::SharedEpoch`]); wire transports serialize it
-    /// into a [`Reply::Epoch`] frame.
+    /// as-is ([`ClientReply::Epoch`]); wire transports encode its shard
+    /// maps straight into an epoch frame, with no typed [`Reply::Epoch`]
+    /// built in between.
     Epoch(Arc<FrozenEpoch>),
 }
 

@@ -13,13 +13,14 @@ use super::{
     TransportError,
 };
 use crate::proto::{
-    decode_reply, decode_request, encode_reply_into, read_frame, write_frame, ProtoError, Reply,
-    Request, ShardMap,
+    decode_epoch_replica, decode_reply, decode_request, encode_epoch_into, encode_reply_into,
+    read_frame, write_frame, ProtoError, Reply, Request, ShardMap, MAX_FRAME_BYTES,
 };
 use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -116,7 +117,7 @@ impl Transport for MpscTransport {
     fn recv(&mut self) -> Result<ClientReply, TransportError> {
         match self.replies.recv() {
             Ok(OwnerReply::Wire(reply)) => Ok(ClientReply::Wire(reply)),
-            Ok(OwnerReply::Epoch(epoch)) => Ok(ClientReply::SharedEpoch(epoch)),
+            Ok(OwnerReply::Epoch(epoch)) => Ok(ClientReply::Epoch(epoch)),
             Err(_) => Err(TransportError::PeerClosed {
                 worker: self.worker,
                 panic: None,
@@ -212,9 +213,10 @@ impl TcpOptions {
 ///
 /// Every message round-trips through the byte codec, so running the
 /// conformance suites over this transport is an end-to-end proof of the wire
-/// format.  `Advance` replies carry the serialized
-/// [`crate::proto::EpochFrame`]; the client rebuilds a local replica of the
-/// frozen maps from it.
+/// format.  An epoch reply is recognised by its tag and decoded straight
+/// into a local replica of the owner's frozen maps (singletons inline, no
+/// typed frame in between), delivered as [`ClientReply::Epoch`] — the same
+/// variant the in-process transport uses for its shared `Arc`.
 ///
 /// The transport owns the connection lifecycle: the lease handshake on
 /// every (re)connect, capped-exponential-backoff reconnection on any socket
@@ -397,10 +399,15 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// Read and decode the next frame (I/O error outer, decode error inner).
-    fn next_reply(&mut self) -> std::io::Result<Result<Reply, ProtoError>> {
+    /// Read and decode the next frame (I/O error outer, decode error
+    /// inner): an epoch reply straight into a replica, anything else into
+    /// its typed [`Reply`].
+    fn next_reply(&mut self) -> std::io::Result<Result<ClientReply, ProtoError>> {
         let payload = self.frames.read(&mut self.stream)?;
-        Ok(decode_reply(payload))
+        Ok(match decode_epoch_replica(payload) {
+            Some(replica) => replica.map(|epoch| ClientReply::Epoch(Arc::new(epoch))),
+            None => decode_reply(payload).map(ClientReply::Wire),
+        })
     }
 
     /// Drive the handshake to completion: read (and verify) the pending
@@ -423,7 +430,7 @@ impl TcpTransport {
 
     /// Read the next ordinary reply, consuming (and verifying) any pending
     /// lease grant first and reconnecting through socket failures.
-    fn recv_reply(&mut self) -> Result<Reply, TransportError> {
+    fn recv_reply(&mut self) -> Result<ClientReply, TransportError> {
         let reply = self.pump(false)?;
         // lint: allow(panic) — infallible: pump(false) only returns Ok(None) when drain_only is set
         Ok(reply.expect("pump only stops early when asked to"))
@@ -434,7 +441,7 @@ impl TcpTransport {
     /// verify and absorb lease grants, and either stop once the grant is
     /// in (`stop_after_grant`, returning `None`) or keep reading until an
     /// ordinary reply arrives.
-    fn pump(&mut self, stop_after_grant: bool) -> Result<Option<Reply>, TransportError> {
+    fn pump(&mut self, stop_after_grant: bool) -> Result<Option<ClientReply>, TransportError> {
         // Loop guard, not retry policy: [`TcpOptions::reconnect_attempts`]
         // bounds the dials within one recovery; this bounds how many
         // *successful* recoveries one receive may burn through, so a
@@ -461,16 +468,20 @@ impl TcpTransport {
                 error,
             })?;
             if self.await_grant {
-                let Reply::LeaseGranted {
+                let ClientReply::Wire(Reply::LeaseGranted {
                     session,
                     resumed,
                     shard_map,
                     ..
-                } = reply
+                }) = reply
                 else {
+                    let got = match reply {
+                        ClientReply::Wire(reply) => format!("{reply:?}"),
+                        ClientReply::Epoch(_) => "an epoch".to_string(),
+                    };
                     return Err(TransportError::Protocol {
                         worker: self.worker,
-                        message: format!("expected a lease grant, got {reply:?}"),
+                        message: format!("expected a lease grant, got {got}"),
                     });
                 };
                 if session != self.options.session {
@@ -557,7 +568,7 @@ impl Transport for TcpTransport {
     fn recv(&mut self) -> Result<ClientReply, TransportError> {
         let reply = self.recv_reply()?;
         self.pending.pop_front();
-        Ok(ClientReply::Wire(reply))
+        Ok(reply)
     }
 }
 
@@ -571,7 +582,7 @@ impl Drop for TcpTransport {
         // pending request and are skipped.
         while !self.pending.is_empty() {
             match self.next_reply() {
-                Ok(Ok(Reply::LeaseGranted { .. })) => {}
+                Ok(Ok(ClientReply::Wire(Reply::LeaseGranted { .. }))) => {}
                 Ok(Ok(_)) => {
                     self.pending.pop_front();
                 }
@@ -721,11 +732,17 @@ impl Conn {
                 let mut stream = write_half;
                 let mut broken = false;
                 while let Ok(payload) = reply_rx.recv() {
-                    // A write failure is a disconnect the reader stage also
-                    // sees; keep draining (the client replays unanswered
-                    // requests after reconnecting) and recycle the buffers.
+                    // The first write failure ends the connection: shutting
+                    // the socket down wakes a client blocked on this reply
+                    // (it reconnects and replays what is unanswered) and
+                    // ends the reader stage, so dispatch sees the
+                    // disconnect.  Without it, a failure that leaves the
+                    // socket open — a frame over the size cap — would leave
+                    // the client waiting forever.  Keep draining to recycle
+                    // the buffers.
                     if !broken && write_frame(&mut stream, &payload).is_err() {
                         broken = true;
+                        let _ = stream.shutdown(Shutdown::Both);
                     }
                     pool.put(payload);
                 }
@@ -908,16 +925,41 @@ impl TcpServer {
     }
 
     /// Encode `reply` into a pooled buffer and hand it to the writer stage.
-    /// Blocks when [`PIPELINE_DEPTH`] replies are already queued — the
-    /// dispatch stage's backpressure.
     fn queue_reply(&mut self, reply: &Reply) {
+        self.queue_frame(|payload| encode_reply_into(payload, reply));
+    }
+
+    /// Encode `encode`'s frame into a pooled buffer and hand it to the
+    /// writer stage.  Blocks when [`PIPELINE_DEPTH`] replies are already
+    /// queued — the dispatch stage's backpressure.
+    ///
+    /// A frame over [`MAX_FRAME_BYTES`] (only an epoch can grow that large)
+    /// is rejected here, before it is queued: the connection is dropped, so
+    /// the client's read fails at once instead of waiting on a frame the
+    /// writer can never send.  The client's replay re-asks, meets the same
+    /// rejection, and surfaces a typed error once its bounded recovery
+    /// cycles run out.
+    fn queue_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         if self.conn.is_none() {
             // Already disconnected: the reply is lost, but the client will
             // replay its request after reconnecting — keep serving.
             return;
         }
         let mut payload = self.pool.take();
-        encode_reply_into(&mut payload, reply);
+        encode(&mut payload);
+        if payload.len() > MAX_FRAME_BYTES {
+            eprintln!(
+                "ampc-dds: owner {} dropped the connection: {}",
+                self.worker,
+                ProtoError::Oversized {
+                    len: payload.len(),
+                    max: MAX_FRAME_BYTES,
+                }
+            );
+            self.pool.put(payload);
+            self.mark_disconnected();
+            return;
+        }
         let failed = self
             .conn
             .as_ref()
@@ -1056,14 +1098,16 @@ impl ServerTransport for TcpServer {
     }
 
     fn send_reply(&mut self, reply: OwnerReply) -> bool {
-        let reply = match reply {
-            OwnerReply::Wire(reply) => reply,
-            // The wire has no shared memory: serialize the frozen epoch.
-            OwnerReply::Epoch(epoch) => Reply::Epoch(epoch.to_frame()),
-        };
         // A lost reply (disconnect) is not the end of the session: the
         // reconnect replay re-asks and the owner re-answers idempotently.
-        self.queue_reply(&reply);
+        match reply {
+            OwnerReply::Wire(reply) => self.queue_reply(&reply),
+            // The wire has no shared memory: encode the frozen shard maps
+            // straight into the frame buffer.
+            OwnerReply::Epoch(epoch) => {
+                self.queue_frame(|payload| encode_epoch_into(payload, &epoch))
+            }
+        }
         true
     }
 
@@ -1258,7 +1302,7 @@ mod tests {
                 "replayed commit must be acknowledged, got {:?}",
                 match other {
                     ClientReply::Wire(reply) => format!("{reply:?}"),
-                    ClientReply::SharedEpoch(_) => "shared epoch".to_string(),
+                    ClientReply::Epoch(_) => "an epoch".to_string(),
                 }
             ),
         }
@@ -1400,6 +1444,69 @@ mod tests {
         // No lease wait: the goodbye ends serving at once (well under the
         // 30 s default ttl).
         assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// Serve every request by failing its reply through `fail`, then
+    /// check that the client's `recv` surfaces a typed error within a time
+    /// bound instead of waiting forever for a reply that never comes.
+    fn failed_replies_end_in_a_typed_error(fail: fn(&mut TcpServer)) {
+        // A short lease, so the owner stops waiting soon after the client
+        // gives up.
+        let options = TcpOptions::fresh().with_ttl_ms(50);
+        let (mut client, mut server) = TcpTransport::connect_pair(6, options).unwrap();
+        let owner = std::thread::spawn(move || {
+            let mut served = 0;
+            while server.recv_request().is_some() {
+                fail(&mut server);
+                served += 1;
+            }
+            served
+        });
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            let result = client
+                .send(Request::TotalWrites)
+                .and_then(|()| client.recv().map(|_| ()));
+            let _ = done_tx.send(result);
+        });
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("recv must return an error, not hang");
+        assert_eq!(
+            result,
+            Err(TransportError::PeerClosed {
+                worker: 6,
+                panic: None
+            })
+        );
+        // The client reconnected and replayed before giving up.
+        assert!(owner.join().unwrap() >= 2);
+    }
+
+    /// A frame over the size cap — a zeroed allocation, so no memory is
+    /// touched.
+    fn oversized_frame() -> Vec<u8> {
+        vec![0u8; MAX_FRAME_BYTES + 1]
+    }
+
+    #[test]
+    fn writer_stage_write_failures_end_the_connection() {
+        // Hand the writer stage a frame `write_frame` refuses: the write
+        // fails while the socket stays open, so only the writer's shutdown
+        // can wake the client.
+        failed_replies_end_in_a_typed_error(|server| {
+            if let Some(conn) = server.conn.as_ref() {
+                let _ = conn.replies.send(oversized_frame());
+            }
+        });
+    }
+
+    #[test]
+    fn oversized_replies_are_rejected_before_queueing() {
+        failed_replies_end_in_a_typed_error(|server| {
+            server.queue_frame(|payload| *payload = oversized_frame());
+            assert!(server.conn.is_none(), "the rejection drops the connection");
+        });
     }
 
     #[test]
