@@ -24,15 +24,6 @@ pub const DEFAULT_EPSILON: f64 = 0.5;
 /// clamped — see [`AmpcConfig::with_num_shards`].
 pub const MAX_SHARDS: usize = 1024;
 
-/// Hard ceiling on the number of cluster owner processes.
-///
-/// The cluster backend is monomorphised per owner count (the conformance
-/// suite holds `cluster(2)` and `cluster(4)` side by side as distinct
-/// types), so the runtime dispatch enumerates the supported counts; counts
-/// beyond the ceiling are rejected at the configuration boundary with
-/// [`AmpcError::InvalidEndpointList`] rather than deep inside a run.
-pub const MAX_CLUSTER_OWNERS: usize = 4;
-
 /// Which [`ampc_dds::DdsBackend`] implementation a runtime uses.
 ///
 /// Algorithms never branch on this: the runtime is generic over the backend
@@ -56,12 +47,13 @@ pub enum DdsBackendKind {
     /// localhost TCP, frozen epochs decoded straight into local replicas.
     /// The deployable shape of the store.
     Remote,
-    /// Multi-owner-process store ([`ampc_dds::ClusterBackend`]): N
-    /// standalone serving processes each owning a contiguous shard range,
-    /// discovered through the shard map in every lease grant; epoch advance
-    /// is a client-coordinated two-phase freeze/publish barrier.  Spawns a
-    /// local cluster of [`AmpcConfig::cluster_owners`] owners, or connects
-    /// to [`AmpcConfig::cluster_endpoints`] when set.
+    /// Multi-owner-process store: the same [`ampc_dds::TcpBackend`],
+    /// connected to N standalone serving processes that each own a
+    /// contiguous shard range, discovered through the shard map in every
+    /// lease grant.  N is runtime data: spawns a local cluster of
+    /// [`AmpcConfig::cluster_owners`] owners
+    /// ([`ampc_dds::TcpBackend::spawn_cluster`]), or connects to
+    /// [`AmpcConfig::cluster_endpoints`] when set.
     Cluster,
 }
 
@@ -145,7 +137,7 @@ pub struct AmpcConfig {
     pub remote_endpoint: Option<String>,
     /// Owner-process count for a locally spawned cluster
     /// ([`DdsBackendKind::Cluster`] with no endpoints).  Set through
-    /// [`AmpcConfig::with_cluster_owners`], which validates the range.
+    /// [`AmpcConfig::with_cluster_owners`], which rejects zero.
     pub cluster_owners: usize,
     /// Endpoints of an already-running cluster, one per owner in node
     /// order.  When set and `backend` is [`DdsBackendKind::Cluster`],
@@ -234,16 +226,16 @@ impl AmpcConfig {
     }
 
     /// Builder-style: run the DDS as a locally spawned cluster of `owners`
-    /// serving processes, and select the cluster backend.
+    /// serving processes (any positive count), and select the cluster
+    /// backend.
     ///
     /// # Errors
-    /// [`AmpcError::InvalidEndpointList`] if `owners` is zero or exceeds
-    /// [`MAX_CLUSTER_OWNERS`].
+    /// [`AmpcError::InvalidEndpointList`] if `owners` is zero.
     pub fn with_cluster_owners(mut self, owners: usize) -> Result<Self, AmpcError> {
-        if owners == 0 || owners > MAX_CLUSTER_OWNERS {
+        if owners == 0 {
             return Err(AmpcError::InvalidEndpointList {
                 requested: owners.to_string(),
-                reason: format!("cluster owner counts must lie in 1..={MAX_CLUSTER_OWNERS}"),
+                reason: "a cluster needs at least one owner".to_string(),
             });
         }
         self.cluster_owners = owners;
@@ -258,9 +250,9 @@ impl AmpcConfig {
     /// the cluster backend.
     ///
     /// # Errors
-    /// [`AmpcError::InvalidEndpointList`] if the list is empty, longer than
-    /// [`MAX_CLUSTER_OWNERS`], or any endpoint is malformed (see
-    /// [`parse_endpoint_list`] for the accepted shape).
+    /// [`AmpcError::InvalidEndpointList`] if the list is empty or any
+    /// endpoint is malformed (see [`parse_endpoint_list`] for the accepted
+    /// shape).
     pub fn with_cluster_endpoints(mut self, endpoints: Vec<String>) -> Result<Self, AmpcError> {
         let endpoints = parse_endpoint_list(&endpoints.join(","))?;
         self.cluster_owners = endpoints.len();
@@ -338,10 +330,10 @@ impl AmpcConfig {
 /// Parse a comma-separated cluster endpoint list (the `--connect-cluster`
 /// CLI argument and the `AMPC_ENDPOINTS` environment variable).
 ///
-/// Accepted shape: 1 to [`MAX_CLUSTER_OWNERS`] comma-separated
-/// `host:port` entries, whitespace around entries ignored.  Each entry
-/// must have a non-empty host and a numeric port in `1..=65535` after its
-/// *last* colon (so bracketed IPv6 literals like `[::1]:7471` pass).
+/// Accepted shape: one or more comma-separated `host:port` entries,
+/// whitespace around entries ignored.  Each entry must have a non-empty
+/// host and a numeric port in `1..=65535` after its *last* colon (so
+/// bracketed IPv6 literals like `[::1]:7471` pass).
 ///
 /// # Errors
 /// [`AmpcError::InvalidEndpointList`] naming the offending input and why
@@ -357,18 +349,8 @@ pub fn parse_endpoint_list(list: &str) -> Result<Vec<String>, AmpcError> {
     if list.trim().is_empty() {
         return reject(list, "expected at least one host:port endpoint".into());
     }
-    let entries: Vec<&str> = list.split(',').map(str::trim).collect();
-    if entries.len() > MAX_CLUSTER_OWNERS {
-        return reject(
-            list,
-            format!(
-                "{} endpoints exceed the supported 1..={MAX_CLUSTER_OWNERS} owners",
-                entries.len()
-            ),
-        );
-    }
-    let mut endpoints = Vec::with_capacity(entries.len());
-    for entry in entries {
+    let mut endpoints = Vec::new();
+    for entry in list.split(',').map(str::trim) {
         let Some((host, port)) = entry.rsplit_once(':') else {
             return reject(entry, "missing the :port suffix".into());
         };
@@ -516,13 +498,16 @@ mod tests {
             Some(&["127.0.0.1:7471".to_string(), "127.0.0.1:7472".to_string()][..])
         );
 
-        // Out-of-range owner counts are configuration errors, not panics.
-        for owners in [0, MAX_CLUSTER_OWNERS + 1] {
-            assert!(matches!(
-                AmpcConfig::for_graph(100, 100, 0.5).with_cluster_owners(owners),
-                Err(AmpcError::InvalidEndpointList { .. })
-            ));
-        }
+        // The owner count is runtime data: any positive count is accepted,
+        // and zero is a configuration error, not a panic.
+        let cfg = AmpcConfig::for_graph(100, 100, 0.5)
+            .with_cluster_owners(8)
+            .unwrap();
+        assert_eq!(cfg.cluster_owners, 8);
+        assert!(matches!(
+            AmpcConfig::for_graph(100, 100, 0.5).with_cluster_owners(0),
+            Err(AmpcError::InvalidEndpointList { .. })
+        ));
     }
 
     #[test]
@@ -532,13 +517,13 @@ mod tests {
             parse_endpoint_list(" 127.0.0.1:7471 ,[::1]:7472").unwrap(),
             vec!["127.0.0.1:7471".to_string(), "[::1]:7472".to_string()]
         );
-        // Both edges of the owner-count range are accepted…
+        // One endpoint and eight endpoints are accepted alike…
         assert_eq!(parse_endpoint_list("a:1").unwrap().len(), 1);
-        let max = (0..MAX_CLUSTER_OWNERS)
+        let eight = (0..8)
             .map(|i| format!("host{i}:{}", 7000 + i))
             .collect::<Vec<_>>()
             .join(",");
-        assert_eq!(parse_endpoint_list(&max).unwrap().len(), MAX_CLUSTER_OWNERS);
+        assert_eq!(parse_endpoint_list(&eight).unwrap().len(), 8);
         // …and both edges of the port range.
         assert!(parse_endpoint_list("a:1,b:65535").is_ok());
 
@@ -546,7 +531,6 @@ mod tests {
         let cases = [
             ("", "at least one"),
             ("   ", "at least one"),
-            ("a:1,b:2,c:3,d:4,e:5", "exceed"),
             ("hostonly", "missing the :port"),
             (":7471", "missing the host"),
             ("a:0", "not in 1..=65535"),

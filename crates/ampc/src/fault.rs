@@ -8,17 +8,19 @@
 //! * **Machine failures** at chosen `(round, machine)` coordinates — the
 //!   runtime discards the failed attempt's writes and re-runs the machine.
 //! * **Request-level faults** at chosen `(epoch, worker)` coordinates — a
-//!   write-side protocol request (`Commit` / `Advance`) is delivered, its
-//!   reply is lost in transit, and the transport layer of a
+//!   write-side protocol request (`Commit` / `PublishEpoch`) is delivered,
+//!   its reply is lost in transit, and the transport layer of a
 //!   message-passing backend retransmits it, so the owner must apply the
 //!   duplicate exactly once (see [`ampc_dds::RequestFaults`]).  Backends
 //!   without a transport have nothing to retransmit and ignore these
 //!   entries.
 //! * **Connection severs** at chosen `(epoch, worker)` coordinates — the
-//!   TCP connection to an owner is cut mid-round, right before the commit
-//!   targeting that epoch goes out.  The socket transport must reconnect
-//!   (capped exponential backoff), replay its lease handshake and the
-//!   outstanding requests idempotently, and leave the run byte-identical.
+//!   TCP connection to an owner is cut mid-round, right before the commit,
+//!   freeze or publish targeting that epoch goes out (an epoch advances
+//!   in two phases, `FreezeEpoch` on every owner and then `PublishEpoch`).
+//!   The socket transport must reconnect (capped exponential backoff),
+//!   replay its lease handshake and the outstanding requests idempotently,
+//!   and leave the run byte-identical.
 //!   Only the socket backend has a connection to cut; other backends leave
 //!   sever entries untouched.
 //!
@@ -72,12 +74,13 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule the `Advance` request freezing `epoch` on owner `worker`
-    /// to lose its reply in transit, forcing the transport to retransmit
-    /// it (the owner republishes the already-frozen epoch).
+    /// Schedule the `PublishEpoch` request publishing `epoch` on owner
+    /// `worker` (phase 2 of the advance) to lose its reply in transit,
+    /// forcing the transport to retransmit it (the owner republishes the
+    /// already-frozen epoch).
     pub fn drop_advance(mut self, epoch: usize, worker: usize) -> Self {
         self.request_drops
-            .insert((RequestKind::Advance, epoch, worker));
+            .insert((RequestKind::PublishEpoch, epoch, worker));
         self
     }
 
@@ -93,28 +96,20 @@ impl FaultPlan {
     }
 
     /// Like [`FaultPlan::sever_connection`], but cutting the connection
-    /// right before the `Advance` freezing `epoch` — the other mid-round
-    /// write-side request.  Advances go to every owner, so this fires
-    /// unconditionally on the socket backend.
+    /// right before the `FreezeEpoch` freezing `epoch` — phase 1 of the
+    /// two-phase advance.  The client must reconnect, replay the freeze,
+    /// and collect every owner's ack before publishing anything; results
+    /// must stay byte-identical (pinned by `tests/reconnect.rs`).  Freezes
+    /// go to every owner, so this fires unconditionally on the socket
+    /// backend.
     pub fn sever_before_advance(mut self, epoch: usize, worker: usize) -> Self {
-        self.severs.insert((RequestKind::Advance, epoch, worker));
+        self.severs
+            .insert((RequestKind::FreezeEpoch, epoch, worker));
         self
     }
 
-    /// Schedule cluster owner `owner`'s connection to be cut right before
-    /// the `FreezeEpoch` freezing `epoch` goes out — phase 1 of the cluster
-    /// backend's two-phase advance barrier.  The client must reconnect,
-    /// replay the freeze, and collect every owner's ack before publishing
-    /// anything; results must stay byte-identical (pinned by
-    /// `tests/reconnect.rs`).  Only the cluster backend sends barrier
-    /// requests, so other backends ignore it.
-    pub fn sever_owner(mut self, epoch: usize, owner: usize) -> Self {
-        self.severs.insert((RequestKind::FreezeEpoch, epoch, owner));
-        self
-    }
-
-    /// Schedule cluster owner `owner`'s connection to be cut *between* the
-    /// barrier's phases: after its `FreezeEpoch` for `epoch` was acked,
+    /// Schedule owner `owner`'s connection to be cut *between* the
+    /// advance's phases: after its `FreezeEpoch` for `epoch` was acked,
     /// right before the `PublishEpoch` goes out.  The owner is left holding
     /// a prepared-but-unpublished epoch across the reconnect, and the
     /// replayed publish must republish it idempotently — the hardest spot
@@ -209,10 +204,10 @@ mod tests {
         assert!(!faults.is_empty());
         // Exactly the scheduled coordinates fire, each exactly once.
         assert!(!faults.should_drop(RequestKind::Commit, 1, 1));
-        assert!(!faults.should_drop(RequestKind::Advance, 1, 0));
+        assert!(!faults.should_drop(RequestKind::PublishEpoch, 1, 0));
         assert!(faults.should_drop(RequestKind::Commit, 1, 0));
         assert!(!faults.should_drop(RequestKind::Commit, 1, 0));
-        assert!(faults.should_drop(RequestKind::Advance, 2, 3));
+        assert!(faults.should_drop(RequestKind::PublishEpoch, 2, 3));
         assert_eq!(faults.dropped(), 2);
         assert!(faults.is_empty());
 
@@ -224,7 +219,7 @@ mod tests {
     #[test]
     fn barrier_severs_translate_to_a_transport_schedule() {
         let plan = FaultPlan::none()
-            .sever_owner(1, 0)
+            .sever_before_advance(1, 0)
             .sever_between_freeze_and_publish(2, 1);
         assert_eq!(plan.len(), 2);
         let faults = plan.request_faults();
@@ -248,10 +243,10 @@ mod tests {
         let faults = plan.request_faults();
         assert!(!faults.is_empty());
         assert!(!faults.should_sever(RequestKind::Commit, 1, 1));
-        assert!(!faults.should_sever(RequestKind::Advance, 1, 0));
+        assert!(!faults.should_sever(RequestKind::FreezeEpoch, 1, 0));
         assert!(faults.should_sever(RequestKind::Commit, 1, 0));
         assert!(!faults.should_sever(RequestKind::Commit, 1, 0));
-        assert!(faults.should_sever(RequestKind::Advance, 2, 1));
+        assert!(faults.should_sever(RequestKind::FreezeEpoch, 2, 1));
         assert_eq!(faults.severed(), 2);
         assert_eq!(faults.dropped(), 0);
         assert!(faults.is_empty());

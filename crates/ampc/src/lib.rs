@@ -76,8 +76,7 @@ pub mod slackness;
 pub mod stats;
 
 pub use config::{
-    parse_endpoint_list, AmpcConfig, BudgetMode, DdsBackendKind, DEFAULT_EPSILON,
-    MAX_CLUSTER_OWNERS, MAX_SHARDS,
+    parse_endpoint_list, AmpcConfig, BudgetMode, DdsBackendKind, DEFAULT_EPSILON, MAX_SHARDS,
 };
 pub use context::{MachineContext, ReadTicket};
 pub use error::AmpcError;

@@ -12,12 +12,12 @@
 //! maxima per machine, budget violations, fault restarts, wall time), which
 //! is the data every test and benchmark in this workspace asserts on.
 
-use crate::config::{AmpcConfig, BudgetMode};
+use crate::config::{AmpcConfig, BudgetMode, DdsBackendKind};
 use crate::context::MachineContext;
 use crate::error::AmpcError;
 use crate::fault::FaultPlan;
 use crate::stats::{RoundStats, RunStats};
-use ampc_dds::{DdsBackend, Key, LocalBackend, Value};
+use ampc_dds::{DdsBackend, Key, LocalBackend, TcpBackend, TransportError, Value};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -82,8 +82,9 @@ impl<B: DdsBackend> AmpcRuntime<B> {
     ///
     /// Machine failures are replayed by the runtime itself; request-level
     /// faults (scheduled lost-reply retransmissions of `Commit` /
-    /// `Advance`) are handed to the backend, whose transport layer honors
-    /// them.  Backends without a transport ignore that part of the plan.
+    /// `PublishEpoch`, connection severs) are handed to the backend, whose
+    /// transport layer honors them.  Backends without a transport ignore
+    /// that part of the plan.
     /// Installing a new plan replaces any previously installed request
     /// faults, so a later empty plan clears an earlier schedule.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -415,77 +416,47 @@ macro_rules! with_dds_backend {
                     $crate::AmpcRuntime::<$crate::ChannelBackend>::with_backend(__config);
                 $body
             }
-            $crate::DdsBackendKind::Remote => match __config.remote_endpoint.clone() {
-                // An external owner process serves the DDS: open a fresh
-                // leased session against it.  A connection failure here has
-                // no round boundary to surface through yet, so it is a loud
-                // construction panic carrying the typed transport error.
-                Some(endpoint) => {
-                    let __backend = $crate::TcpBackend::connect_remote(
-                        endpoint.as_str(),
-                        __config.num_shards(),
-                        __config.effective_threads(),
-                    )
+            // Both socket kinds run the one remote client; only how it
+            // finds its owners differs (see `socket_backend`).  A
+            // connection failure here has no round boundary to surface
+            // through yet, so it is a loud construction panic carrying the
+            // typed transport error.
+            $crate::DdsBackendKind::Remote | $crate::DdsBackendKind::Cluster => {
+                let __backend = $crate::runtime::socket_backend(&__config)
                     // lint: allow(panic) — construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing cluster as fatal
                     .unwrap_or_else(|err| panic!("DDS transport failure: {err}"));
-                    #[allow(unused_mut)]
-                    let mut $runtime = $crate::AmpcRuntime::<$crate::TcpBackend>::from_backend(
-                        __config, __backend,
-                    );
-                    $body
-                }
-                None => {
-                    #[allow(unused_mut)]
-                    let mut $runtime =
-                        $crate::AmpcRuntime::<$crate::TcpBackend>::with_backend(__config);
-                    $body
-                }
-            },
-            // The cluster backend is monomorphised per owner count, so the
-            // runtime dispatch enumerates the supported counts
-            // (`config::MAX_CLUSTER_OWNERS`); `with_cluster_owners` /
-            // `with_cluster_endpoints` validated the range at the
-            // configuration boundary.
-            $crate::DdsBackendKind::Cluster => {
-                let __endpoints = __config.cluster_endpoints.clone();
-                let __owners = __endpoints
-                    .as_ref()
-                    .map_or(__config.cluster_owners, Vec::len);
-                match __owners {
-                    1 => $crate::cluster_backend_arm!(1, __config, __endpoints, $runtime, $body),
-                    2 => $crate::cluster_backend_arm!(2, __config, __endpoints, $runtime, $body),
-                    3 => $crate::cluster_backend_arm!(3, __config, __endpoints, $runtime, $body),
-                    4 => $crate::cluster_backend_arm!(4, __config, __endpoints, $runtime, $body),
-                    // lint: allow(panic) — unreachable: with_cluster_owners/with_cluster_endpoints validate against MAX_CLUSTER_OWNERS at the config boundary
-                    n => panic!("cluster runs support 1..=4 owners, got {n}"),
-                }
+                #[allow(unused_mut)]
+                let mut $runtime =
+                    $crate::AmpcRuntime::<$crate::TcpBackend>::from_backend(__config, __backend);
+                $body
             }
         }
     }};
 }
 
-/// One owner-count instantiation of the [`with_dds_backend!`] cluster arm:
-/// connect to the configured endpoints, or spawn a local cluster of
-/// `$owners` serving processes.  An implementation detail of that macro —
-/// not part of the public surface.
+/// The [`TcpBackend`] a [`DdsBackendKind::Remote`] or
+/// [`DdsBackendKind::Cluster`] configuration selects: connected to the
+/// configured cluster endpoints or serve process, a freshly spawned local
+/// cluster, or in-process owner threads behind localhost sockets.  An
+/// implementation detail of [`crate::with_dds_backend!`].
 #[doc(hidden)]
-#[macro_export]
-macro_rules! cluster_backend_arm {
-    ($owners:literal, $config:ident, $endpoints:ident, $runtime:ident, $body:expr) => {{
-        let __backend = match &$endpoints {
-            Some(endpoints) => {
-                $crate::ClusterBackend::<$owners>::connect_cluster(endpoints, $config.num_shards())
-            }
-            None => $crate::ClusterBackend::<$owners>::spawn_local($config.num_shards()),
+pub fn socket_backend(config: &AmpcConfig) -> Result<TcpBackend, TransportError> {
+    let shards = config.num_shards();
+    let threads = config.effective_threads();
+    match (
+        config.backend,
+        &config.cluster_endpoints,
+        &config.remote_endpoint,
+    ) {
+        (DdsBackendKind::Cluster, Some(endpoints), _) => {
+            TcpBackend::connect_cluster(endpoints, shards)
         }
-        // lint: allow(panic) — construction-time connect failure: no runtime exists yet to carry AmpcError, and callers treat a missing cluster as fatal
-        .unwrap_or_else(|err| panic!("DDS transport failure: {err}"));
-        #[allow(unused_mut)]
-        let mut $runtime = $crate::AmpcRuntime::<$crate::ClusterBackend<$owners>>::from_backend(
-            $config, __backend,
-        );
-        $body
-    }};
+        (DdsBackendKind::Cluster, None, _) => {
+            TcpBackend::spawn_cluster(config.cluster_owners, shards)
+        }
+        (_, _, Some(endpoint)) => TcpBackend::connect_remote(endpoint.as_str(), shards, threads),
+        (_, _, None) => Ok(TcpBackend::with_shards(shards, threads)),
+    }
 }
 
 #[cfg(test)]
@@ -862,8 +833,8 @@ mod tests {
         use crate::config::DdsBackendKind;
         use ampc_dds::SnapshotView;
         // The ROADMAP "dropped/retried requests" fault story: schedule the
-        // transport to lose (and retry) one Commit and one Advance, and the
-        // run must be byte-identical to an undisturbed one.  Epoch
+        // transport to lose (and retry) one Commit and one PublishEpoch,
+        // and the run must be byte-identical to an undisturbed one.  Epoch
         // coordinates: load_input builds epoch 0, round r builds epoch
         // r + 1.
         let run = |backend: DdsBackendKind, plan: FaultPlan| {
@@ -901,7 +872,7 @@ mod tests {
             assert_eq!(dropped, 0);
             let faulty_plan = FaultPlan::none()
                 .drop_commit(1, 0) // round 0's writes, owner 0
-                .drop_advance(2, 1); // round 1's freeze, owner 1
+                .drop_advance(2, 1); // round 1's publish, owner 1
             let (f_sums, f_echoed, f_entries, f_dropped) = run(backend, faulty_plan);
             assert_eq!(
                 f_dropped, 2,

@@ -1,7 +1,7 @@
 //! Cluster commit scaling: does sharding the store across owner processes
 //! keep the commit path fast?
 //!
-//! The cluster backend routes each round's writes to the owner holding the
+//! A cluster client routes each round's writes to the owner holding the
 //! destination shard and runs the two-phase advance barrier across all
 //! owners.  This experiment commits the same workload over the same total
 //! shard count at `owners = 1` and `owners = 2` and reports commit-request
@@ -9,7 +9,7 @@
 //! a trajectory change in `BENCH_commit.json` rather than going unnoticed.
 
 use crate::commit::workload;
-use ampc_dds::{ClusterBackend, DdsBackend, Key, Value};
+use ampc_dds::{DdsBackend, Key, TcpBackend, Value};
 use std::time::Instant;
 
 /// One cluster commit-throughput measurement at a fixed owner count.
@@ -47,14 +47,16 @@ impl ClusterCommitPoint {
     }
 }
 
-fn measure<const OWNERS: usize>(
+fn measure(
+    owners: usize,
     pairs_per_round: usize,
     shards: usize,
     rounds: usize,
     seed: u64,
 ) -> ClusterCommitPoint {
     let threads = 2;
-    let mut backend = ClusterBackend::<OWNERS>::with_shards(shards, threads);
+    let mut backend = TcpBackend::spawn_cluster(owners, shards)
+        .expect("a local cluster starts on ephemeral ports");
     // The runtime hands the backend one write buffer per virtual machine;
     // four batches keeps the partition pass honest without dominating.
     let batches: Vec<Vec<(Key, Value)>> = workload(pairs_per_round, seed)
@@ -75,7 +77,7 @@ fn measure<const OWNERS: usize>(
     assert_eq!(backend.completed_epochs(), rounds);
 
     ClusterCommitPoint {
-        owners: OWNERS,
+        owners,
         shards,
         pairs_per_round,
         rounds,
@@ -93,10 +95,10 @@ pub fn cluster_commit_scaling(
     rounds: usize,
     seed: u64,
 ) -> Vec<ClusterCommitPoint> {
-    vec![
-        measure::<1>(pairs_per_round, shards, rounds, seed),
-        measure::<2>(pairs_per_round, shards, rounds, seed),
-    ]
+    [1, 2]
+        .into_iter()
+        .map(|owners| measure(owners, pairs_per_round, shards, rounds, seed))
+        .collect()
 }
 
 #[cfg(test)]

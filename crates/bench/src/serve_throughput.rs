@@ -138,10 +138,17 @@ fn run_client(
         // Epoch boundary: the whole pipeline must be drained first, since
         // in-flight commits still target the epoch about to freeze.
         if sent_this_epoch == ADVANCE_EVERY && in_flight.is_empty() {
-            client.send(Request::Advance { epoch }).expect("advance");
-            match client.recv().expect("advance reply") {
+            client.send(Request::FreezeEpoch { epoch }).expect("freeze");
+            match client.recv().expect("freeze reply") {
+                ClientReply::Wire(Reply::EpochFrozen { .. }) => {}
+                _ => panic!("a freeze must be acknowledged"),
+            }
+            client
+                .send(Request::PublishEpoch { epoch })
+                .expect("publish");
+            match client.recv().expect("publish reply") {
                 ClientReply::Epoch(_) => {}
-                _ => panic!("an advance must publish the frozen epoch"),
+                _ => panic!("a publish must publish the frozen epoch"),
             }
             epoch += 1;
             sent_this_epoch = 0;

@@ -14,7 +14,7 @@
 //!
 //! What is specific to this instantiation is the *shared-memory capability*
 //! of its transport: requests travel as typed values (no serialization),
-//! and on `Advance` the owner publishes the frozen epoch **once** as an
+//! and on `PublishEpoch` the owner publishes the frozen epoch **once** as an
 //! `Arc` in its reply — the zero-copy fast path.  Every
 //! [`ChannelSnapshot`] then resolves `get` / `get_indexed` /
 //! `multiplicity` / `get_many` directly against the shared immutable maps —

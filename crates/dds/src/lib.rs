@@ -47,8 +47,8 @@
 //!    they are published behind one `Arc` per epoch and served lock-free.
 //!    On [`LocalBackend`] that `Arc` is the [`Snapshot`] itself (cloned to
 //!    every machine thread); on [`ChannelBackend`] each owner thread hands
-//!    its frozen shard group's `Arc` to the backend in its `Advance` reply,
-//!    so point and batched reads resolve against the shared maps with
+//!    its frozen shard group's `Arc` to the backend in its `PublishEpoch`
+//!    reply, so point and batched reads resolve against the shared maps with
 //!    **zero channel traffic** — only commits, advances, and driver-side
 //!    loads/dumps remain message-passing.  Reads are counted in per-shard
 //!    atomics inside the published epoch, keeping the Lemma 2.1 contention
@@ -65,8 +65,8 @@
 //! three modules:
 //!
 //! * [`proto`] — the protocol as data: serializable [`proto::Request`] /
-//!   [`proto::Reply`] types (`Commit` / `Advance` / `Loads` / `Dump` /
-//!   `TotalWrites`), a byte codec built on the constant-size pair encoding
+//!   [`proto::Reply`] types (`Commit` / `FreezeEpoch` / `PublishEpoch` /
+//!   `Loads` / `Dump` / `TotalWrites`), a byte codec built on the constant-size pair encoding
 //!   of [`codec`], an epoch-snapshot payload for fetching frozen maps
 //!   across a process boundary (typed as [`proto::EpochFrame`]; the wire
 //!   backends encode and decode the same bytes straight between the
@@ -121,7 +121,8 @@
 //! pipeline of them, under pipelining.  Replay is safe because every
 //! request is idempotent at the owner — `Commit` is deduplicated over a
 //! window of recent sequence numbers deep enough to absorb a full replayed
-//! pipeline, `Advance` re-publishes the already-frozen epoch,
+//! pipeline, `FreezeEpoch` re-acks and `PublishEpoch` re-publishes the
+//! already-frozen epoch,
 //! `Loads`/`Dump`/`TotalWrites` are pure reads.  A clean shutdown drains
 //! both sides before the goodbye releases the lease, and expiry never
 //! counts down against a connected client, even one whose pipelined
@@ -134,19 +135,21 @@
 //!
 //! # Cluster topology
 //!
-//! One serving process scales to many clients; [`cluster`] scales the
-//! store itself to many serving processes.  A cluster is `N` owner
-//! processes started with [`serve_cluster`], each owning a **contiguous
-//! shard range** (`[i·S/N, (i+1)·S/N)` for owner `i` of `N` over `S`
-//! shards), discovered through the **shard-map handshake**: every lease
-//! grant carries the cluster's epoch-stamped [`proto::ShardMap`] (owner
-//! endpoints × shard ranges), and [`ClusterBackend`] validates that all
-//! owners advertise the identical contiguous map before routing a single
-//! request.  Commits route to the owning endpoint by range lookup;
-//! `Loads` / `TotalWrites` / `Dump` fan out and aggregate.
+//! One serving process scales to many clients; a cluster scales the store
+//! itself to many serving processes.  A cluster is `N` owner processes
+//! started with [`serve_cluster`], each owning a **contiguous shard
+//! range** (`[i·S/N, (i+1)·S/N)` for owner `i` of `N` over `S` shards),
+//! discovered through the **shard-map handshake**: every lease grant
+//! carries the cluster's epoch-stamped [`proto::ShardMap`] (owner
+//! endpoints × shard ranges).  The client is the same [`TcpBackend`],
+//! connected to `N` endpoints ([`TcpBackend::connect_cluster`], or
+//! [`TcpBackend::spawn_cluster`] for a local cluster): it validates that
+//! all owners advertise the identical contiguous map before routing a
+//! single request, then routes commits to the owning endpoint by range
+//! lookup; `Loads` / `TotalWrites` / `Dump` fan out and aggregate.
 //!
-//! Epoch advance is the one step that must be atomic *across* processes,
-//! and becomes a client-coordinated **two-phase barrier**: phase 1 sends
+//! Epoch advance must be atomic *across* owners, so every remote backend
+//! runs it as a client-coordinated **two-phase barrier**: phase 1 sends
 //! [`proto::Request::FreezeEpoch`] to every owner — each parks its
 //! writable epoch as *prepared*, invisible to `Loads`/`Dump`, while
 //! already accepting the next epoch's commits — and only after **all**
@@ -160,7 +163,8 @@
 //! window so concurrent clients of one owner cannot evict each other's
 //! replay state.  `cluster(n)` legs of the conformance, determinism, and
 //! reconnect suites hold the whole construction byte-identical to the
-//! single-process backends, including with an owner severed mid-barrier.
+//! single-process backends, for owner counts up to 8, including with an
+//! owner severed mid-barrier.
 //!
 //! The pre-refactor `Vec<Value>`-per-key layout survives as
 //! [`legacy::LegacyStore`], an executable specification the property tests
@@ -190,10 +194,9 @@
 //!   line; an allow without a reason is itself a finding.
 //! * **const-consistency** — the numeric relationships the replay design
 //!   depends on: the commit dedup window covers at least two full
-//!   pipelines (`COMMIT_REPLAY_WINDOW ≥ 2 × PIPELINE_DEPTH`), the frame
-//!   cap in [`proto`] equals the pool-retention cap in `transport::codec`,
-//!   and `MAX_CLUSTER_OWNERS` matches the owner-count arms the `ampc`
-//!   runtime monomorphizes.
+//!   pipelines (`COMMIT_REPLAY_WINDOW ≥ 2 × PIPELINE_DEPTH`), and the
+//!   frame cap in [`proto`] equals the pool-retention cap in
+//!   `transport::codec`.
 //! * **blocking-discipline** — no `thread::sleep` or unbounded reads on
 //!   the dispatch/session/serve hot paths outside annotated backoff
 //!   (`// lint: allow(blocking) — <reason>`); `clippy.toml` bans

@@ -57,8 +57,6 @@ pub const MAX_FRAME_BYTES: usize = 256 << 20;
 pub enum RequestKind {
     /// [`Request::Commit`].
     Commit,
-    /// [`Request::Advance`].
-    Advance,
     /// [`Request::FreezeEpoch`].
     FreezeEpoch,
     /// [`Request::PublishEpoch`].
@@ -79,7 +77,6 @@ impl fmt::Display for RequestKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             RequestKind::Commit => "commit",
-            RequestKind::Advance => "advance",
             RequestKind::FreezeEpoch => "freeze_epoch",
             RequestKind::PublishEpoch => "publish_epoch",
             RequestKind::Loads => "loads",
@@ -95,9 +92,10 @@ impl fmt::Display for RequestKind {
 /// A request to one shard-group owner.
 ///
 /// `epoch` coordinates always name the epoch the request targets: `Commit`
-/// and `Advance` target the *writable* epoch (the number of epochs the owner
-/// has frozen so far — owners validate this and panic on a protocol
-/// violation), `Loads` and `Dump` target a *completed* epoch.
+/// and `FreezeEpoch` target the *writable* epoch (the number of epochs the
+/// owner has frozen so far — owners validate this and panic on a protocol
+/// violation), `PublishEpoch` the prepared one, `Loads` and `Dump` a
+/// *completed* epoch.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Apply shard-partitioned pairs to the writable epoch.
@@ -114,14 +112,7 @@ pub enum Request {
         /// pairs in commit order).
         batches: Vec<(usize, Vec<(Key, Value)>)>,
     },
-    /// Freeze the writable epoch in place, open the next one, and publish
-    /// the frozen epoch (as a shared `Arc` in-process, as an epoch frame
-    /// decoded into a client-side replica over the wire).
-    Advance {
-        /// Index of the epoch being frozen.
-        epoch: usize,
-    },
-    /// Phase 1 of the cluster's two-phase epoch barrier: freeze the
+    /// Phase 1 of the two-phase epoch advance: freeze the
     /// writable epoch in place and hold it *prepared but unpublished*.
     /// Acknowledged with [`Reply::EpochFrozen`]; the coordinator must
     /// collect this ack from **every** owner before any
@@ -133,7 +124,7 @@ pub enum Request {
         /// Index of the epoch being frozen.
         epoch: usize,
     },
-    /// Phase 2 of the two-phase barrier: publish the epoch prepared by
+    /// Phase 2 of the two-phase advance: publish the epoch prepared by
     /// [`Request::FreezeEpoch`] and answer with its epoch frame.
     /// Idempotent: a replayed publish of an already-published epoch
     /// re-sends the same frame, which is what makes a sever between
@@ -188,7 +179,6 @@ impl Request {
     pub fn kind(&self) -> RequestKind {
         match self {
             Request::Commit { .. } => RequestKind::Commit,
-            Request::Advance { .. } => RequestKind::Advance,
             Request::FreezeEpoch { .. } => RequestKind::FreezeEpoch,
             Request::PublishEpoch { .. } => RequestKind::PublishEpoch,
             Request::Loads { .. } => RequestKind::Loads,
@@ -229,8 +219,8 @@ pub enum ReplayPolicy {
     /// (`Commit`, keyed by its per-session sequence number).
     Deduped,
     /// Re-applying converges: the owner re-acknowledges with the same
-    /// observable result (`Advance` / `FreezeEpoch` / `PublishEpoch`
-    /// republish the already-frozen epoch; the session-layer `Lease` and
+    /// observable result (`FreezeEpoch` re-acks and `PublishEpoch`
+    /// republishes the already-frozen epoch; the session-layer `Lease` and
     /// `Goodbye` lifecycle re-attaches or re-releases).
     Idempotent,
     /// A pure read of completed state with no owner-side effect
@@ -246,7 +236,6 @@ pub enum ReplayPolicy {
 /// lookup.
 pub const REPLAY_POLICY: &[(RequestKind, ReplayPolicy)] = &[
     (RequestKind::Commit, ReplayPolicy::Deduped),
-    (RequestKind::Advance, ReplayPolicy::Idempotent),
     (RequestKind::FreezeEpoch, ReplayPolicy::Idempotent),
     (RequestKind::PublishEpoch, ReplayPolicy::Idempotent),
     (RequestKind::Loads, ReplayPolicy::Pure),
@@ -266,7 +255,7 @@ pub enum Reply {
         /// Number of pairs accepted by this owner.
         accepted: u64,
     },
-    /// [`Request::Advance`] / [`Request::PublishEpoch`] answered with the
+    /// [`Request::PublishEpoch`] answered with the
     /// frozen epoch's serialized contents — the typed view of the epoch
     /// frame.  Transports never materialize it: owners encode their frozen
     /// maps directly and clients decode the frame directly into a replica
@@ -442,7 +431,8 @@ impl std::error::Error for ProtoError {}
 // ---------------------------------------------------------------------------
 
 const TAG_COMMIT: u8 = 0;
-const TAG_ADVANCE: u8 = 1;
+// Tag 1 was the retired one-shot `Advance`; it stays unassigned so old
+// frames cannot be misread as a different request.
 const TAG_LOADS: u8 = 2;
 const TAG_DUMP: u8 = 3;
 const TAG_TOTAL_WRITES: u8 = 4;
@@ -548,10 +538,6 @@ pub fn encode_request_into(buf: &mut Vec<u8>, request: &Request) {
                     put_value(buf, value);
                 }
             }
-        }
-        Request::Advance { epoch } => {
-            buf.push(TAG_ADVANCE);
-            put_u64(buf, *epoch as u64);
         }
         Request::FreezeEpoch { epoch } => {
             buf.push(TAG_FREEZE_EPOCH);
@@ -913,9 +899,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtoError> {
                 batches,
             }
         }
-        TAG_ADVANCE => Request::Advance {
-            epoch: cursor.u64("advance epoch")? as usize,
-        },
         TAG_FREEZE_EPOCH => Request::FreezeEpoch {
             epoch: cursor.u64("freeze epoch")? as usize,
         },
@@ -1161,7 +1144,6 @@ mod tests {
                     (5, Vec::new()),
                 ],
             },
-            Request::Advance { epoch: 0 },
             Request::FreezeEpoch { epoch: 5 },
             Request::PublishEpoch { epoch: 5 },
             Request::Loads { epoch: 17 },
@@ -1388,7 +1370,6 @@ mod tests {
                 seq: 0,
                 batches: Vec::new(),
             },
-            Request::Advance { epoch: 0 },
             Request::FreezeEpoch { epoch: 0 },
             Request::PublishEpoch { epoch: 0 },
             Request::Loads { epoch: 0 },
@@ -1655,7 +1636,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_reject_oversize() {
-        let payload = encode_request(&Request::Advance { epoch: 2 });
+        let payload = encode_request(&Request::FreezeEpoch { epoch: 2 });
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
         assert_eq!(wire.len(), payload.len() + 4);

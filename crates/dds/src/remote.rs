@@ -2,25 +2,59 @@
 //!
 //! This is the client ("backend") and server ("owner") realization of the
 //! [`crate::proto`] wire protocol.  Shards are partitioned into groups, each
-//! group is owned by a dedicated worker, and the backend talks to each owner
-//! over one [`crate::transport::Transport`] connection:
+//! group is owned by one owner, and the backend talks to each owner over one
+//! [`crate::transport::Transport`] connection:
 //!
 //! * `RemoteBackend<MpscTransport>` is the in-process
 //!   [`crate::ChannelBackend`] — typed messages over channels, frozen epochs
 //!   published zero-copy as shared `Arc`s;
 //! * `RemoteBackend<TcpTransport>` ([`TcpBackend`]) runs the identical owner
-//!   loop behind localhost sockets — every request and reply round-trips
-//!   through the byte codec.  A frozen epoch travels in one pass per side:
-//!   the owner encodes its frozen shard maps straight into the frame
-//!   buffer, and the client transport decodes the frame straight into a
-//!   local replica.
+//!   loop behind sockets — every request and reply round-trips through the
+//!   byte codec.  Its owners are in-process threads
+//!   ([`RemoteBackend::new`]), the per-worker sessions of one
+//!   [`crate::serve`] process ([`TcpBackend::connect_remote`]), or the `N`
+//!   nodes of a cluster ([`TcpBackend::connect_cluster`],
+//!   [`TcpBackend::spawn_cluster`]).  A frozen epoch travels in one pass
+//!   per side: the owner encodes its frozen shard maps straight into the
+//!   frame buffer, and the client transport decodes the frame straight
+//!   into a local replica.
+//!
+//! The owner count is runtime data, and so is the shard placement
+//! (`Routing`): interleaved (`shard % owners`) for in-process owners and
+//! single serving processes, contiguous ranges for a cluster.  A socket
+//! client takes its placement from the lease grants: when every owner
+//! advertises the same contiguous [`crate::proto::ShardMap`], it routes by
+//! range lookup; when none advertises a map, it interleaves.
 //!
 //! Either way the transport hands the backend a [`ClientReply::Epoch`], and
 //! a round's reads resolve **locally and lock-free**: the view holds one
 //! [`FrozenEpoch`] per owner (shared or replicated — machine code cannot
-//! tell) and probes its immutable maps directly.  Only the
-//! write-side protocol (`Commit`, `Advance`) and the driver-side requests
-//! (`Loads`, `Dump`, `TotalWrites`) cross the transport.
+//! tell) and probes its immutable maps directly.  Only the write-side
+//! protocol (`Commit`, `FreezeEpoch`, `PublishEpoch`) and the driver-side
+//! requests (`Loads`, `Dump`, `TotalWrites`) cross the transport.
+//!
+//! # The two-phase advance
+//!
+//! Every epoch advance is a client-coordinated barrier over all owners:
+//!
+//! ```text
+//!  phase 1: FreezeEpoch(e) ──► every owner      (all must ack…)
+//!                 owner: park writable epoch e as `prepared`
+//!                        — invisible to Loads/Dump, commits for e+1 accepted
+//!  phase 2: PublishEpoch(e) ──► every owner     (…before any publish)
+//!                 owner: prepared → published, reply with the epoch frame
+//! ```
+//!
+//! No `PublishEpoch` is sent until **every** owner has acked its freeze, so
+//! a client can never observe a mixed epoch: either no owner has published
+//! `e` (any failure before the last freeze ack aborts the advance with a
+//! typed error and nothing published), or every owner is guaranteed to
+//! publish `e` eventually — `FreezeEpoch` and `PublishEpoch` are both
+//! idempotent under replay, so an owner severed mid-barrier reconnects,
+//! replays, and re-acks/re-publishes the identical frozen data.  Both
+//! phases are pipelined: the requests go out to every owner before the
+//! first reply is read, and the published frames are received in owner
+//! order on the calling thread.
 //!
 //! Owner failures surface as typed [`TransportError`]s: when a connection
 //! drops because the owner thread panicked, the backend joins the thread
@@ -30,7 +64,8 @@
 use crate::backend::{DdsBackend, SnapshotView};
 use crate::hashing::FxHashMap;
 use crate::key::{Key, Value};
-use crate::proto::{Reply, Request};
+use crate::proto::{Reply, Request, ShardMap};
+use crate::serve::{serve_cluster_listener, DdsServer};
 use crate::slot::Slot;
 use crate::stats::{ShardLoad, StoreStats};
 use crate::store::{partition_by_shard, shard_index};
@@ -38,6 +73,7 @@ use crate::transport::dispatch::Worker;
 use crate::transport::{
     ClientReply, RequestFaults, TcpOptions, TcpTransport, Transport, TransportError,
 };
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -211,8 +247,15 @@ impl Routing {
 /// See the [module docs](self) for the design; select it through
 /// `ampc_runtime::AmpcConfig` rather than constructing it directly.
 pub struct RemoteBackend<T: Transport> {
+    /// One connection per owner, in owner order.
     clients: Vec<T>,
+    /// Join handles of in-process owner threads (`None` for owners this
+    /// backend did not spawn).
     handles: Vec<Option<JoinHandle<()>>>,
+    /// Owner processes spawned by [`TcpBackend::spawn_cluster`] (empty
+    /// otherwise).  `Drop` closes every client before these shut down, so
+    /// goodbyes release every lease while the servers still accept.
+    servers: Vec<DdsServer>,
     routing: Routing,
     completed: usize,
     faults: RequestFaults,
@@ -241,17 +284,26 @@ impl<T: Transport> RemoteBackend<T> {
             clients.push(client);
             handles.push(Some(handle));
         }
+        RemoteBackend::from_clients(clients, handles, Routing::interleaved(num_shards, workers))
+    }
+
+    fn from_clients(
+        clients: Vec<T>,
+        handles: Vec<Option<JoinHandle<()>>>,
+        routing: Routing,
+    ) -> Self {
         RemoteBackend {
             clients,
             handles,
-            routing: Routing::interleaved(num_shards, workers),
+            servers: Vec::new(),
+            routing,
             completed: 0,
             faults: RequestFaults::none(),
             next_seq: 0,
         }
     }
 
-    /// Number of owner threads serving the shards.
+    /// Number of owners serving the shards.
     pub fn num_workers(&self) -> usize {
         self.clients.len()
     }
@@ -304,6 +356,16 @@ impl<T: Transport> RemoteBackend<T> {
         }
     }
 
+    /// Pipeline `request` to every owner, then collect one wire reply per
+    /// owner, in owner order.
+    fn fan_out(&mut self, request: Request) -> Result<Vec<Reply>, TransportError> {
+        let owners = self.clients.len();
+        for worker in 0..owners {
+            self.send(worker, request.clone())?;
+        }
+        (0..owners).map(|worker| self.recv_wire(worker)).collect()
+    }
+
     /// Fallible [`DdsBackend::commit_round`]: partition the ordered batches
     /// by owner, pipeline one `Commit` per owner, then collect the acks.
     /// Returns the number of pairs accepted.
@@ -333,34 +395,42 @@ impl<T: Transport> RemoteBackend<T> {
         for worker in pending {
             match self.recv_wire(worker)? {
                 Reply::Committed { accepted: n, .. } => accepted += n,
-                other => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a commit ack, got {other:?}"),
-                    })
-                }
+                other => return Err(unexpected(worker, "a commit ack", &other)),
             }
         }
         Ok(accepted)
     }
 
-    /// Fallible [`DdsBackend::advance`]: pipeline one `Advance` per owner,
-    /// then collect each frozen epoch — shared when the transport can, a
+    /// Fallible [`DdsBackend::advance`]: the two-phase barrier of the
+    /// [module docs](self).  Phase 1 freezes the writable epoch on every
+    /// owner and waits for **all** acks; phase 2 publishes everywhere and
+    /// collects each frozen epoch — shared when the transport can, a
     /// replica the transport decoded from the frame when it cannot.
     pub fn try_advance(&mut self) -> Result<RemoteSnapshot, TransportError> {
         let epoch = self.completed;
-        for worker in 0..self.clients.len() {
-            self.send(worker, Request::Advance { epoch })?;
+        // Phase 1: no owner is asked to publish until every owner holds the
+        // epoch prepared, so a failure here publishes nothing anywhere.
+        for (worker, reply) in self
+            .fan_out(Request::FreezeEpoch { epoch })?
+            .into_iter()
+            .enumerate()
+        {
+            match reply {
+                Reply::EpochFrozen { epoch: acked } if acked == epoch => {}
+                other => return Err(unexpected(worker, "a freeze ack", &other)),
+            }
         }
-        let mut groups = Vec::with_capacity(self.clients.len());
-        for worker in 0..self.clients.len() {
+        // Phase 2: publish everywhere, then receive the frames in order.
+        let owners = self.clients.len();
+        for worker in 0..owners {
+            self.send(worker, Request::PublishEpoch { epoch })?;
+        }
+        let mut groups = Vec::with_capacity(owners);
+        for worker in 0..owners {
             match self.recv(worker)? {
-                ClientReply::Epoch(epoch) => groups.push(epoch),
+                ClientReply::Epoch(group) => groups.push(group),
                 ClientReply::Wire(other) => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a frozen epoch, got {other:?}"),
-                    })
+                    return Err(unexpected(worker, "a published epoch", &other))
                 }
             }
         }
@@ -374,19 +444,11 @@ impl<T: Transport> RemoteBackend<T> {
 
     /// Fallible [`DdsBackend::total_writes`].
     pub fn try_total_writes(&mut self) -> Result<u64, TransportError> {
-        for worker in 0..self.clients.len() {
-            self.send(worker, Request::TotalWrites)?;
-        }
         let mut total = 0;
-        for worker in 0..self.clients.len() {
-            match self.recv_wire(worker)? {
+        for (worker, reply) in self.fan_out(Request::TotalWrites)?.into_iter().enumerate() {
+            match reply {
                 Reply::TotalWrites(writes) => total += writes,
-                other => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a total-writes reply, got {other:?}"),
-                    })
-                }
+                other => return Err(unexpected(worker, "a total-writes reply", &other)),
             }
         }
         Ok(total)
@@ -402,19 +464,15 @@ impl<T: Transport> RemoteBackend<T> {
     /// from their own epoch data; this request exists for drivers and tests
     /// that audit the owner side.
     pub fn epoch_loads(&mut self, epoch: usize) -> Result<Vec<ShardLoad>, TransportError> {
-        for worker in 0..self.clients.len() {
-            self.send(worker, Request::Loads { epoch })?;
-        }
         let mut loads = Vec::new();
-        for worker in 0..self.clients.len() {
-            match self.recv_wire(worker)? {
+        for (worker, reply) in self
+            .fan_out(Request::Loads { epoch })?
+            .into_iter()
+            .enumerate()
+        {
+            match reply {
                 Reply::Loads(worker_loads) => loads.extend(worker_loads),
-                other => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a loads reply, got {other:?}"),
-                    })
-                }
+                other => return Err(unexpected(worker, "a loads reply", &other)),
             }
         }
         loads.sort_by_key(|load| load.shard);
@@ -426,22 +484,26 @@ impl<T: Transport> RemoteBackend<T> {
         &mut self,
         epoch: usize,
     ) -> Result<Vec<(Key, Vec<Value>)>, TransportError> {
-        for worker in 0..self.clients.len() {
-            self.send(worker, Request::Dump { epoch })?;
-        }
         let mut entries = Vec::new();
-        for worker in 0..self.clients.len() {
-            match self.recv_wire(worker)? {
+        for (worker, reply) in self
+            .fan_out(Request::Dump { epoch })?
+            .into_iter()
+            .enumerate()
+        {
+            match reply {
                 Reply::Dump(worker_entries) => entries.extend(worker_entries),
-                other => {
-                    return Err(TransportError::Protocol {
-                        worker,
-                        message: format!("expected a dump reply, got {other:?}"),
-                    })
-                }
+                other => return Err(unexpected(worker, "a dump reply", &other)),
             }
         }
         Ok(entries)
+    }
+}
+
+/// The typed error for a well-formed reply of the wrong kind.
+fn unexpected(worker: usize, expected: &str, got: &Reply) -> TransportError {
+    TransportError::Protocol {
+        worker,
+        message: format!("expected {expected}, got {got:?}"),
     }
 }
 
@@ -456,7 +518,7 @@ impl RemoteBackend<TcpTransport> {
     /// process.  Dropping the backend says goodbye on every connection,
     /// releasing the session immediately.
     pub fn connect_remote(
-        endpoint: impl std::net::ToSocketAddrs,
+        endpoint: impl ToSocketAddrs,
         num_shards: usize,
         workers: usize,
     ) -> Result<Self, TransportError> {
@@ -473,20 +535,158 @@ impl RemoteBackend<TcpTransport> {
                 worker: 0,
                 message: "the DDS serve address resolved to nothing".to_string(),
             })?;
-        let options = TcpOptions::fresh().with_topology(num_shards, workers);
-        let mut clients = Vec::with_capacity(workers);
-        for worker in 0..workers {
+        Self::connect(&vec![endpoint; workers], num_shards)
+    }
+
+    /// Connect to already-running cluster owners, one endpoint per node in
+    /// node order (each started with [`crate::serve::serve_cluster`] over
+    /// the identical peer list).
+    ///
+    /// Validates the topology before accepting it: the advertised shard
+    /// maps must be identical, contiguous, and sized for `num_shards` with
+    /// one slice per connected owner.  Owners that all serve standalone
+    /// (no map) are routed interleaved instead, like one `serve` process.
+    pub fn connect_cluster(
+        endpoints: &[String],
+        num_shards: usize,
+    ) -> Result<Self, TransportError> {
+        Self::connect(endpoints, num_shards.max(1))
+    }
+
+    /// Spawn a self-contained local cluster: `owners` serving processes on
+    /// ephemeral localhost ports, plus a client connected to all of them.
+    /// The backend holds the servers and shuts them down when dropped.
+    ///
+    /// Listeners are bound *before* any server starts, so every owner can
+    /// be told the full peer list — the chicken-and-egg every ephemeral
+    /// port cluster spawner has to break.
+    pub fn spawn_cluster(owners: usize, num_shards: usize) -> Result<Self, TransportError> {
+        let io_err = |node: usize, message: String| TransportError::Io {
+            worker: node,
+            message,
+        };
+        let mut listeners = Vec::with_capacity(owners);
+        let mut peers = Vec::with_capacity(owners);
+        for node in 0..owners {
+            let listener = TcpListener::bind(("127.0.0.1", 0))
+                .map_err(|err| io_err(node, format!("binding cluster owner {node}: {err}")))?;
+            let addr = listener.local_addr().map_err(|err| {
+                io_err(
+                    node,
+                    format!("reading cluster owner {node}'s address: {err}"),
+                )
+            })?;
+            peers.push(addr.to_string());
+            listeners.push(listener);
+        }
+        let mut servers = Vec::with_capacity(owners);
+        for (node, listener) in listeners.into_iter().enumerate() {
+            servers.push(
+                serve_cluster_listener(listener, node, peers.clone())
+                    .map_err(|err| io_err(node, format!("starting cluster owner {node}: {err}")))?,
+            );
+        }
+        let mut backend = Self::connect_cluster(&peers, num_shards)?;
+        backend.servers = servers;
+        Ok(backend)
+    }
+
+    /// The cluster shard map the owners advertised, or `None` when they
+    /// serve standalone (interleaved routing).
+    pub fn shard_map(&self) -> Option<&ShardMap> {
+        self.clients.first()?.shard_map()
+    }
+
+    /// The one connect path: dial every endpoint (`endpoints[w]` serves
+    /// owner `w`), settle every lease handshake, then route as the grants
+    /// prescribe (see [`routing_from_grants`]).
+    fn connect<A: ToSocketAddrs>(
+        endpoints: &[A],
+        num_shards: usize,
+    ) -> Result<Self, TransportError> {
+        let options = TcpOptions::fresh().with_topology(num_shards, endpoints.len());
+        let mut clients = Vec::with_capacity(endpoints.len());
+        for (worker, endpoint) in endpoints.iter().enumerate() {
             clients.push(TcpTransport::connect_to(endpoint, worker, options.clone())?);
         }
-        Ok(RemoteBackend {
-            clients,
-            handles: (0..workers).map(|_| None).collect(),
-            routing: Routing::interleaved(num_shards, workers),
-            completed: 0,
-            faults: RequestFaults::none(),
-            next_seq: 0,
-        })
+        for client in &mut clients {
+            client.finish_handshake()?;
+        }
+        let routing = routing_from_grants(&clients, num_shards)?;
+        let handles = clients.iter().map(|_| None).collect();
+        Ok(RemoteBackend::from_clients(clients, handles, routing))
     }
+}
+
+/// The routing the owners' lease grants prescribe: ranged over the shard
+/// map when every grant carries the identical contiguous map, interleaved
+/// when none carries one, and a typed error naming the offending owner
+/// otherwise.
+fn routing_from_grants(
+    owners: &[TcpTransport],
+    num_shards: usize,
+) -> Result<Routing, TransportError> {
+    if !owners.is_empty() && owners.iter().all(|owner| owner.shard_map().is_none()) {
+        return Ok(Routing::interleaved(num_shards, owners.len()));
+    }
+    let map = validated_shard_map(owners, num_shards)?;
+    let starts = map
+        .owners
+        .iter()
+        .map(|slice| slice.start as usize)
+        .collect();
+    Ok(Routing::ranged(num_shards, starts))
+}
+
+/// Settle on the one shard map every owner must advertise, or say exactly
+/// which owner disagrees and how.
+fn validated_shard_map(
+    owners: &[TcpTransport],
+    num_shards: usize,
+) -> Result<ShardMap, TransportError> {
+    let mut settled: Option<ShardMap> = None;
+    for (node, owner) in owners.iter().enumerate() {
+        let map = owner.shard_map().ok_or_else(|| TransportError::Protocol {
+            worker: node,
+            message: "owner granted a lease without a cluster shard map".to_string(),
+        })?;
+        if map.owners.len() != owners.len() {
+            return Err(TransportError::Protocol {
+                worker: node,
+                message: format!(
+                    "owner advertises {} owners, client connected to {}",
+                    map.owners.len(),
+                    owners.len()
+                ),
+            });
+        }
+        if map.num_shards() != num_shards || !map.is_contiguous() {
+            return Err(TransportError::Protocol {
+                worker: node,
+                message: format!(
+                    "owner's shard map does not tile [0, {num_shards}) contiguously: {:?}",
+                    map.owners
+                ),
+            });
+        }
+        match &settled {
+            None => settled = Some(map.clone()),
+            Some(first) if first == map => {}
+            Some(first) => {
+                return Err(TransportError::Protocol {
+                    worker: node,
+                    message: format!(
+                        "owners disagree on the topology: node 0 advertises {first:?}, \
+                         node {node} advertises {map:?}"
+                    ),
+                })
+            }
+        }
+    }
+    settled.ok_or_else(|| TransportError::Protocol {
+        worker: 0,
+        message: "a cluster needs at least one owner".to_string(),
+    })
 }
 
 /// Unwrap a transport result inside the infallible [`DdsBackend`] surface.
@@ -556,7 +756,8 @@ impl<T: Transport> DdsBackend for RemoteBackend<T> {
 impl<T: Transport> Drop for RemoteBackend<T> {
     fn drop(&mut self) {
         // Disconnect every owner (their serve loops exit on a gone client),
-        // then reap the threads so nothing is left detached.  Panic payloads
+        // then reap the threads so nothing is left detached; spawned
+        // servers shut down afterwards, as the fields drop.  Panic payloads
         // were either harvested during operation or are deliberately
         // swallowed here — propagating from `drop` would abort.
         self.clients.clear();
@@ -572,6 +773,7 @@ impl<T: Transport> std::fmt::Debug for RemoteBackend<T> {
             .field("transport", &T::NAME)
             .field("num_shards", &self.routing.num_shards())
             .field("workers", &self.clients.len())
+            .field("local_servers", &self.servers.len())
             .field("completed_epochs", &self.completed)
             .finish()
     }
@@ -891,7 +1093,7 @@ mod tests {
             if faulted {
                 faults.schedule_drop(RequestKind::Commit, 0, 0);
                 faults.schedule_drop(RequestKind::Commit, 0, 1);
-                faults.schedule_drop(RequestKind::Advance, 1, 0);
+                faults.schedule_drop(RequestKind::PublishEpoch, 1, 0);
             }
             backend.install_request_faults(faults.clone());
             backend.commit_round(

@@ -33,7 +33,7 @@ use crate::key::{Key, Value};
 /// the rare multi-value slots.
 ///
 /// The single freeze pass shared by [`crate::ShardedStore::freeze`] and the
-/// [`crate::ChannelBackend`] owner threads' `Advance`, so the two epoch
+/// [`crate::ChannelBackend`] owner threads' `FreezeEpoch`, so the two epoch
 /// pipelines cannot drift apart.
 pub(crate) fn freeze_map_in_place(map: &mut FxHashMap<Key, Slot>) {
     for slot in map.values_mut() {

@@ -15,12 +15,11 @@
 //!   than re-applied.  (A single-entry "last seq" memory — sufficient when
 //!   one request was in flight at a time — would re-apply every replayed
 //!   commit but the newest.)
-//! * `Advance` retransmissions re-publish the already-frozen epoch.
-//! * `FreezeEpoch` / `PublishEpoch` — the cluster's two-phase barrier —
-//!   are each idempotent: a replayed freeze of a prepared (or published)
-//!   epoch is re-acked, a replayed publish re-sends the published frame,
-//!   and a prepared-but-unpublished epoch survives a reconnect and is
-//!   publishable afterwards.
+//! * `FreezeEpoch` / `PublishEpoch` — the two phases of every epoch
+//!   advance — are each idempotent: a replayed freeze of a prepared (or
+//!   published) epoch is re-acked, a replayed publish re-sends the
+//!   published frame, and a prepared-but-unpublished epoch survives a
+//!   reconnect and is publishable afterwards.
 //! * `Loads` / `Dump` / `TotalWrites` are pure reads.
 //!
 //! Connection-lifecycle requests (`Lease`, `Goodbye`) are consumed entirely
@@ -114,9 +113,8 @@ impl Worker {
         &self.frozen[epoch]
     }
 
-    /// Freeze the writable maps in place and hand them over as one epoch;
-    /// shared by `Advance` (freeze + publish in one step) and
-    /// `FreezeEpoch` (phase 1 of the barrier, which parks the result).
+    /// Freeze the writable maps in place and hand them over as one epoch
+    /// (`FreezeEpoch` parks the result until its `PublishEpoch`).
     fn freeze_writable(&mut self) -> Arc<FrozenEpoch> {
         let shard_count = self.shard_ids.len();
         // In-place freeze: reuse the writable maps as the frozen maps,
@@ -186,29 +184,6 @@ impl Worker {
                     window.pop_front();
                 }
                 OwnerReply::Wire(Reply::Committed { epoch, accepted })
-            }
-            Request::Advance { epoch } => {
-                assert!(
-                    self.prepared.is_none(),
-                    "advance while an epoch is prepared: a connection must \
-                     speak either the one-shot advance or the two-phase \
-                     barrier, not both"
-                );
-                if epoch + 1 == self.frozen.len() {
-                    // Retransmission of the advance that froze the last
-                    // epoch (its reply was lost): republish it unchanged.
-                    // lint: allow(panic) — infallible: frozen.len() == epoch + 1 ≥ 1 in this branch
-                    let replay = self.frozen.last().expect("a frozen epoch exists").clone();
-                    return OwnerReply::Epoch(replay);
-                }
-                assert_eq!(
-                    epoch,
-                    self.frozen.len(),
-                    "advance must freeze the writable epoch"
-                );
-                let epoch = self.freeze_writable();
-                self.frozen.push(epoch.clone());
-                OwnerReply::Epoch(epoch)
             }
             Request::FreezeEpoch { epoch } => {
                 if self.prepared.is_some() {
@@ -346,8 +321,13 @@ mod tests {
         let mut worker = Worker::new(vec![0]);
         assert_eq!(accepted(worker.handle(0, commit(0, 0, 4))), 4);
         // The epoch freezes while the commit's ack is lost in flight…
-        let OwnerReply::Epoch(_) = worker.handle(0, Request::Advance { epoch: 0 }) else {
-            panic!("advance must publish the epoch");
+        let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
+            worker.handle(0, Request::FreezeEpoch { epoch: 0 })
+        else {
+            panic!("freeze must be acked");
+        };
+        let OwnerReply::Epoch(_) = worker.handle(0, Request::PublishEpoch { epoch: 0 }) else {
+            panic!("publish must publish the epoch");
         };
         // …and the replayed commit still names epoch 0.  The window must
         // re-ack it (the epoch assert would otherwise reject the replay).
@@ -402,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_then_publish_equals_advance_and_is_idempotent() {
+    fn freeze_then_publish_is_idempotent() {
         let mut worker = Worker::new(vec![0]);
         assert_eq!(accepted(worker.handle(0, commit(0, 0, 3))), 3);
 

@@ -14,7 +14,8 @@
 //! * [`dispatch`] — request application against the owner state machine
 //!   (`dispatch::Worker`), including the idempotency that makes replay
 //!   safe: commit deduplication over a bounded window of recent sequence
-//!   numbers and advance republication of the already-frozen epoch.
+//!   numbers, and re-acknowledged freezes and republished epochs for the
+//!   two phases of an advance.
 //!
 //! A transport is one *connection* (logically: the TCP transport survives
 //! reconnects): the backend holds the client half ([`Transport`]), the owner
@@ -46,7 +47,7 @@
 //! Two implementations ship in-tree:
 //!
 //! * [`MpscTransport`] — in-process channels.  Requests travel as typed
-//!   values (no serialization), and the `Advance` reply exercises the
+//!   values (no serialization), and the `PublishEpoch` reply exercises the
 //!   transport's *shared-memory capability*: the owner publishes the frozen
 //!   epoch as an `Arc` ([`ClientReply::Epoch`]) instead of serializing it,
 //!   which is the zero-copy fast path [`crate::ChannelBackend`] has always
@@ -86,9 +87,9 @@
 //! and then *every request whose reply is still outstanding*, in order.
 //! That replay is safe because every request is idempotent at the owner:
 //! `Commit` is deduplicated by sequence number (over a window deep enough
-//! for a full pipeline of outstanding commits), `Advance` re-publishes the
-//! already-frozen epoch, and `Loads` / `Dump` / `TotalWrites` are pure
-//! reads.  A reconnect that lands on an owner which already reclaimed the
+//! for a full pipeline of outstanding commits), `FreezeEpoch` re-acks the
+//! prepared epoch, `PublishEpoch` re-publishes the already-frozen epoch,
+//! and `Loads` / `Dump` / `TotalWrites` are pure reads.  A reconnect that lands on an owner which already reclaimed the
 //! session (lease expired) surfaces as the typed
 //! [`TransportError::LeaseLost`] — continuing silently would resurrect a
 //! session whose pending state is gone.
@@ -238,15 +239,15 @@ struct FaultsInner {
 /// lose its *reply* in transit, and retransmit the identical request — the
 /// retry a real RPC layer issues when an acknowledgement goes missing; the
 /// owner sees the request twice and must treat the second copy idempotently
-/// (commit deduplication by sequence number, advance replay of the
-/// already-frozen epoch).  **Severs** cut the TCP connection immediately
+/// (commit deduplication by sequence number, freeze re-acks and publish
+/// replay of the already-frozen epoch).  **Severs** cut the TCP connection immediately
 /// before the matching request is transmitted — the mid-round socket loss a
 /// real deployment must absorb; the transport reconnects with backoff,
 /// replays the lease handshake and the outstanding requests, and the run
 /// must stay byte-identical.  Only the write-side requests (`Commit`,
-/// `Advance`) are addressable — they are the ones a real deployment must
-/// retry; reads are served from immutable local epochs and never cross the
-/// wire.
+/// `FreezeEpoch`, `PublishEpoch`) are addressable — they are the ones a
+/// real deployment must retry; reads are served from immutable local epochs
+/// and never cross the wire.
 ///
 /// Cloning shares the schedule (transports of one backend consult one
 /// ledger).
@@ -314,7 +315,6 @@ impl RequestFaults {
 fn fault_coordinates(request: &Request) -> Option<(RequestKind, usize)> {
     match request {
         Request::Commit { epoch, .. } => Some((RequestKind::Commit, *epoch)),
-        Request::Advance { epoch } => Some((RequestKind::Advance, *epoch)),
         Request::FreezeEpoch { epoch } => Some((RequestKind::FreezeEpoch, *epoch)),
         Request::PublishEpoch { epoch } => Some((RequestKind::PublishEpoch, *epoch)),
         _ => None,

@@ -45,8 +45,8 @@ const MAX_PIPELINE: usize = 128;
 
 /// In-process transport over `std::sync::mpsc` channels.
 ///
-/// Requests travel as typed values; `Advance` replies carry the frozen epoch
-/// as a shared `Arc` (the zero-copy capability wire transports lack).
+/// Requests travel as typed values; `PublishEpoch` replies carry the frozen
+/// epoch as a shared `Arc` (the zero-copy capability wire transports lack).
 pub struct MpscTransport {
     worker: usize,
     requests: Sender<Request>,
@@ -1285,7 +1285,7 @@ mod tests {
         let handle = echo_server(server);
         let faults = RequestFaults::none();
         faults.schedule_sever(RequestKind::Commit, 1, 2);
-        faults.schedule_sever(RequestKind::Advance, 2, 2);
+        faults.schedule_sever(RequestKind::FreezeEpoch, 2, 2);
         client.install_faults(faults.clone());
 
         // Warm the connection so the sever cuts an established stream.
@@ -1308,12 +1308,12 @@ mod tests {
         }
         assert_eq!(faults.severed(), 1);
 
-        // A second sever, addressed at an Advance, exercises the replay of
+        // A second sever, addressed at a FreezeEpoch, exercises the replay of
         // a different request kind over a fresh reconnect.
-        client.send(Request::Advance { epoch: 2 }).unwrap();
+        client.send(Request::FreezeEpoch { epoch: 2 }).unwrap();
         match client.recv().unwrap() {
             ClientReply::Wire(Reply::TotalWrites(_)) => {} // echo server answer
-            _ => panic!("the replayed advance must be answered"),
+            _ => panic!("the replayed freeze must be answered"),
         }
         assert_eq!(faults.severed(), 2);
         assert!(faults.is_empty());

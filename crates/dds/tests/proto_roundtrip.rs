@@ -41,7 +41,7 @@ fn arbitrary_entries() -> impl Strategy<Value = Vec<(Key, Vec<Value>)>> {
 
 fn arbitrary_request() -> impl Strategy<Value = Request> {
     (
-        0u32..9,
+        0u32..8,
         0u64..1_000_000,
         any::<u64>(),
         proptest::collection::vec((0usize..64, arbitrary_pairs()), 0..6),
@@ -52,7 +52,7 @@ fn arbitrary_request() -> impl Strategy<Value = Request> {
                 seq,
                 batches,
             },
-            1 => Request::Advance {
+            1 => Request::FreezeEpoch {
                 epoch: epoch as usize,
             },
             2 => Request::Loads {
@@ -69,10 +69,7 @@ fn arbitrary_request() -> impl Strategy<Value = Request> {
                 ttl_ms: epoch,
             },
             5 => Request::Goodbye,
-            6 => Request::FreezeEpoch {
-                epoch: epoch as usize,
-            },
-            7 => Request::PublishEpoch {
+            6 => Request::PublishEpoch {
                 epoch: epoch as usize,
             },
             _ => Request::TotalWrites,

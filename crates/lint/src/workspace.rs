@@ -12,7 +12,7 @@ use std::io;
 use std::path::Path;
 
 /// The crates whose sources the passes walk.  Everything a pass anchors on
-/// (proto enums, dispatch arms, the cluster constants) lives under these.
+/// (proto enums, dispatch arms, the transport constants) lives under these.
 const SCANNED_CRATES: [&str; 2] = ["crates/dds/src", "crates/ampc/src"];
 
 /// Loaded view of the workspace sources.

@@ -149,18 +149,6 @@ fn drifted_constants_fail_const_consistency() {
         "transport/codec.rs",
         &["MAX_RETAINED_FRAME_BYTES", "MAX_FRAME_BYTES"],
     );
-    assert_finding(
-        &diags,
-        "const-consistency",
-        "runtime.rs",
-        &["pattern 3", "cluster_backend_arm!(2)"],
-    );
-    assert_finding(
-        &diags,
-        "const-consistency",
-        "runtime.rs",
-        &["MAX_CLUSTER_OWNERS", "is 4"],
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -2,17 +2,17 @@
 //!
 //! One parameterized battery drives `LocalBackend`, `ChannelBackend`,
 //! `TcpBackend` (the socket-backed `RemoteBackend` speaking the
-//! `ampc_dds::proto` wire format) and the executable specification
-//! `legacy::LegacyStore` through the same write scripts and holds every
-//! observable — `get`, `get_indexed`, `multiplicity`, `len`, `read_many`
-//! (order and content), multi-value index order, and the per-query read
-//! accounting — to identical results.  The property tests at the bottom
-//! extend the battery to arbitrary write interleavings.
+//! `ampc_dds::proto` wire format, over in-process owners and over local
+//! clusters of 2, 3, 4 and 8 owner processes) and the executable
+//! specification `legacy::LegacyStore` through the same write scripts and
+//! holds every observable — `get`, `get_indexed`, `multiplicity`, `len`,
+//! `read_many` (order and content), multi-value index order, and the
+//! per-query read accounting — to identical results.  The property tests
+//! at the bottom extend the battery to arbitrary write interleavings.
 
 use ampc_dds::legacy::LegacyStore;
 use ampc_dds::{
-    ChannelBackend, ClusterBackend, DdsBackend, Key, KeyTag, LocalBackend, SnapshotView,
-    TcpBackend, Value,
+    ChannelBackend, DdsBackend, Key, KeyTag, LocalBackend, SnapshotView, TcpBackend, Value,
 };
 use ampc_runtime::{AmpcConfig, AmpcRuntime, DdsBackendKind};
 use proptest::prelude::*;
@@ -25,16 +25,24 @@ const ALL_BACKENDS: &[DdsBackendKind] = &[
     DdsBackendKind::Cluster,
 ];
 
+/// Owner counts of the cluster legs: a [`TcpBackend`] over that many
+/// locally spawned owner processes.
+const CLUSTER_OWNERS: [usize; 4] = [2, 3, 4, 8];
+
 /// One round's writes: ordered batches (for the runtime: one per machine).
 type Script = Vec<Vec<Vec<(Key, Value)>>>;
+
+/// A local cluster of `owners` owner processes serving `shards` shards.
+fn cluster(owners: usize, shards: usize) -> TcpBackend {
+    TcpBackend::spawn_cluster(owners, shards).expect("a local cluster starts on ephemeral ports")
+}
 
 fn k(a: u64) -> Key {
     Key::of(KeyTag::Scalar, a)
 }
 
-/// Apply every epoch of `script` to a backend, returning one view per epoch.
-fn run_script<B: DdsBackend>(script: &Script, shards: usize, threads: usize) -> Vec<B::View> {
-    let mut backend = B::with_shards(shards, threads);
+/// Apply every epoch of `script` to `backend`, returning one view per epoch.
+fn run_script<B: DdsBackend>(mut backend: B, script: &Script, threads: usize) -> Vec<B::View> {
     script
         .iter()
         .map(|batches| {
@@ -104,7 +112,7 @@ fn assert_view_matches_legacy<V: SnapshotView>(view: &V, legacy: &LegacyStore, p
     );
 }
 
-/// Run the full battery for one script on all four backends.
+/// Run the full battery for one script on every backend and cluster size.
 fn conformance_battery(script: Script, shards: usize, threads: usize) {
     // Probe keys: everything ever written plus guaranteed misses.
     let mut probe: Vec<Key> = script
@@ -116,48 +124,57 @@ fn conformance_battery(script: Script, shards: usize, threads: usize) {
     probe.push(Key::of(KeyTag::Custom(999), u64::MAX));
     probe.push(k(u64::MAX - 1));
 
-    let local = run_script::<LocalBackend>(&script, shards, threads);
-    let channel = run_script::<ChannelBackend>(&script, shards, threads);
-    let remote = run_script::<TcpBackend>(&script, shards, threads);
-    let cluster2 = run_script::<ClusterBackend<2>>(&script, shards, threads);
-    let cluster4 = run_script::<ClusterBackend<4>>(&script, shards, threads);
+    let local = run_script(LocalBackend::with_shards(shards, threads), &script, threads);
+    let channel = run_script(
+        ChannelBackend::with_shards(shards, threads),
+        &script,
+        threads,
+    );
+    let remote = run_script(TcpBackend::with_shards(shards, threads), &script, threads);
+    let clusters: Vec<_> = CLUSTER_OWNERS
+        .iter()
+        .map(|&owners| {
+            (
+                owners,
+                run_script(cluster(owners, shards), &script, threads),
+            )
+        })
+        .collect();
     let legacy = legacy_epochs(&script, shards);
 
     assert_eq!(local.len(), legacy.len());
     assert_eq!(channel.len(), legacy.len());
     assert_eq!(remote.len(), legacy.len());
-    assert_eq!(cluster2.len(), legacy.len());
-    assert_eq!(cluster4.len(), legacy.len());
+    for (_, cluster) in &clusters {
+        assert_eq!(cluster.len(), legacy.len());
+    }
     for epoch in 0..legacy.len() {
         assert_view_matches_legacy(&local[epoch], &legacy[epoch], &probe);
         assert_view_matches_legacy(&channel[epoch], &legacy[epoch], &probe);
         assert_view_matches_legacy(&remote[epoch], &legacy[epoch], &probe);
-        assert_view_matches_legacy(&cluster2[epoch], &legacy[epoch], &probe);
-        assert_view_matches_legacy(&cluster4[epoch], &legacy[epoch], &probe);
+        for (_, cluster) in &clusters {
+            assert_view_matches_legacy(&cluster[epoch], &legacy[epoch], &probe);
+        }
         // The trait backends also agree on the unordered entry dump.
         let mut local_entries = local[epoch].entries();
         let mut channel_entries = channel[epoch].entries();
         let mut remote_entries = remote[epoch].entries();
-        let mut cluster2_entries = cluster2[epoch].entries();
-        let mut cluster4_entries = cluster4[epoch].entries();
         local_entries.sort_by_key(|&(key, _)| key);
         channel_entries.sort_by_key(|&(key, _)| key);
         remote_entries.sort_by_key(|&(key, _)| key);
-        cluster2_entries.sort_by_key(|&(key, _)| key);
-        cluster4_entries.sort_by_key(|&(key, _)| key);
         assert_eq!(local_entries, channel_entries, "epoch {epoch} entries");
         assert_eq!(
             local_entries, remote_entries,
             "epoch {epoch} remote entries"
         );
-        assert_eq!(
-            local_entries, cluster2_entries,
-            "epoch {epoch} cluster(2) entries"
-        );
-        assert_eq!(
-            local_entries, cluster4_entries,
-            "epoch {epoch} cluster(4) entries"
-        );
+        for (owners, cluster) in &clusters {
+            let mut cluster_entries = cluster[epoch].entries();
+            cluster_entries.sort_by_key(|&(key, _)| key);
+            assert_eq!(
+                local_entries, cluster_entries,
+                "epoch {epoch} cluster({owners}) entries"
+            );
+        }
     }
 }
 
@@ -282,10 +299,12 @@ fn explicit_shard_override_flows_to_every_backend() {
 }
 
 /// End-to-end smoke through `AmpcRuntime<B>` directly (not via the macro):
-/// adaptive pointer chasing, exactly as the model demands.
-fn runtime_program_smoke<B: DdsBackend>() {
+/// adaptive pointer chasing, exactly as the model demands.  `make` builds
+/// the backend from the config's shard and thread counts.
+fn runtime_program_smoke<B: DdsBackend>(make: impl FnOnce(usize, usize) -> B) {
     let config = AmpcConfig::for_graph(10_000, 0, 0.5).with_threads(3);
-    let mut runtime = AmpcRuntime::<B>::with_backend(config);
+    let backend = make(config.num_shards(), config.effective_threads());
+    let mut runtime = AmpcRuntime::from_backend(config, backend);
     runtime.load_input((0..100u64).map(|x| (Key::of(KeyTag::Successor, x), Value::scalar(x + 1))));
     let reached = runtime
         .run_round(1, |ctx| {
@@ -302,17 +321,17 @@ fn runtime_program_smoke<B: DdsBackend>() {
 
 #[test]
 fn channel_backend_runs_a_full_runtime_program() {
-    runtime_program_smoke::<ChannelBackend>();
+    runtime_program_smoke(ChannelBackend::with_shards);
 }
 
 #[test]
 fn tcp_backend_runs_a_full_runtime_program() {
-    runtime_program_smoke::<TcpBackend>();
+    runtime_program_smoke(TcpBackend::with_shards);
 }
 
 #[test]
 fn cluster_backend_runs_a_full_runtime_program() {
-    runtime_program_smoke::<ClusterBackend<2>>();
+    runtime_program_smoke(|shards, _| cluster(2, shards));
 }
 
 /// Everything a view can tell us about an epoch: key count, sorted entry
@@ -342,8 +361,7 @@ fn observe<V: SnapshotView>(view: &V, probe: &[Key]) -> EpochObservation {
 /// Snapshot lifetime: a view taken at one epoch must stay valid — and
 /// byte-identical — while later epochs commit and advance, and after the
 /// backend itself is dropped.
-fn snapshot_lifetime_battery<B: DdsBackend>(shards: usize, threads: usize) {
-    let mut backend = B::with_shards(shards, threads);
+fn snapshot_lifetime_battery<B: DdsBackend>(mut backend: B, threads: usize) {
     backend.commit_round(
         vec![
             (0..120u64).map(|i| (k(i % 40), Value::scalar(i))).collect(),
@@ -385,26 +403,27 @@ fn snapshot_lifetime_battery<B: DdsBackend>(shards: usize, threads: usize) {
 
 #[test]
 fn local_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery::<LocalBackend>(8, 2);
-    snapshot_lifetime_battery::<LocalBackend>(1, 1);
+    snapshot_lifetime_battery(LocalBackend::with_shards(8, 2), 2);
+    snapshot_lifetime_battery(LocalBackend::with_shards(1, 1), 1);
 }
 
 #[test]
 fn channel_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery::<ChannelBackend>(8, 3);
-    snapshot_lifetime_battery::<ChannelBackend>(16, 1);
+    snapshot_lifetime_battery(ChannelBackend::with_shards(8, 3), 3);
+    snapshot_lifetime_battery(ChannelBackend::with_shards(16, 1), 1);
 }
 
 #[test]
 fn tcp_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery::<TcpBackend>(8, 3);
-    snapshot_lifetime_battery::<TcpBackend>(16, 1);
+    snapshot_lifetime_battery(TcpBackend::with_shards(8, 3), 3);
+    snapshot_lifetime_battery(TcpBackend::with_shards(16, 1), 1);
 }
 
 #[test]
 fn cluster_views_stay_valid_across_epochs_and_backend_drop() {
-    snapshot_lifetime_battery::<ClusterBackend<2>>(8, 3);
-    snapshot_lifetime_battery::<ClusterBackend<4>>(16, 1);
+    for (owners, shards, threads) in [(2, 8, 3), (3, 8, 2), (4, 16, 1), (8, 16, 1)] {
+        snapshot_lifetime_battery(cluster(owners, shards), threads);
+    }
 }
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {

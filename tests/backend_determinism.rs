@@ -17,7 +17,7 @@ use ampc_runtime::{AmpcConfig, DdsBackendKind};
 /// down.  `Remote` runs the full algorithm suite over localhost TCP sockets
 /// speaking the `ampc_dds::proto` wire format — the acceptance test the
 /// ROADMAP set for the networked backend.  `Cluster` shards the same suite
-/// across 2 and then 4 standalone owner processes behind the two-phase
+/// across 2, 3, 4 and 8 standalone owner processes behind the two-phase
 /// advance barrier; the owners column is ignored by every other backend.
 const SHAPES: &[(DdsBackendKind, usize, usize)] = &[
     (DdsBackendKind::Local, 1, 0),
@@ -35,6 +35,8 @@ const SHAPES: &[(DdsBackendKind, usize, usize)] = &[
     (DdsBackendKind::Cluster, 1, 4),
     (DdsBackendKind::Cluster, 2, 4),
     (DdsBackendKind::Cluster, 8, 4),
+    (DdsBackendKind::Cluster, 2, 3),
+    (DdsBackendKind::Cluster, 2, 8),
 ];
 
 fn config_for(

@@ -72,7 +72,8 @@ fn run_workload(config: AmpcConfig, plan: FaultPlan) -> Observed {
 #[test]
 fn severed_connections_reconnect_and_replay_byte_identically() {
     // Epoch coordinates: load_input builds epoch 0, round 0's commit
-    // targets epoch 1, round 1's advance freezes epoch 2.  Worker 0 exists
+    // targets epoch 1, round 1's advance freezes epoch 2 (its
+    // `FreezeEpoch` is the request the second sever precedes).  Worker 0 exists
     // on every thread count, so both severs fire on every shape.
     for threads in [1usize, 2, 8] {
         let config = || {
@@ -101,37 +102,50 @@ fn severed_connections_reconnect_and_replay_byte_identically() {
 
 #[test]
 fn owners_severed_mid_barrier_replay_the_two_phase_advance_byte_identically() {
-    // Cluster epoch coordinates: the advance after `load_input` runs the
+    // Epoch coordinates: the advance after `load_input` runs the
     // freeze/publish barrier for epoch 0, round 0's advance for epoch 1,
     // round 1's for epoch 2.  The plan cuts owner 0's connection right
     // before round 0's `FreezeEpoch` goes out, and owner 1's *between* the
     // phases of round 1's barrier — after its freeze was acked, before the
     // publish — so one owner holds a prepared-but-unpublished epoch across
     // a reconnect while the other may already have published.  Both heals
-    // must leave every observable byte identical to a fault-free cluster
-    // run, on every thread count.
-    for threads in [1usize, 2, 8] {
+    // must leave every observable byte identical to a fault-free run, on a
+    // two-owner cluster and on interleaved in-process owners (which run the
+    // same barrier), on every thread count that has an owner 1.
+    let shapes = [
+        (DdsBackendKind::Cluster, 1usize),
+        (DdsBackendKind::Cluster, 2),
+        (DdsBackendKind::Cluster, 8),
+        (DdsBackendKind::Remote, 2),
+        (DdsBackendKind::Remote, 8),
+    ];
+    for (backend, threads) in shapes {
         let config = || {
-            AmpcConfig::for_graph(1_000, 1_000, 0.5)
+            let config = AmpcConfig::for_graph(1_000, 1_000, 0.5)
                 .with_threads(threads)
-                .with_cluster_owners(2)
-                .expect("two owners are in range")
+                .with_backend(backend);
+            match backend {
+                DdsBackendKind::Cluster => config
+                    .with_cluster_owners(2)
+                    .expect("two owners are in range"),
+                _ => config,
+            }
         };
         let clean = run_workload(config(), FaultPlan::none());
-        assert_eq!(clean.4, 0, "fault-free cluster runs sever nothing");
+        assert_eq!(clean.4, 0, "fault-free {backend:?} runs sever nothing");
 
         let plan = FaultPlan::none()
-            .sever_owner(1, 0)
+            .sever_before_advance(1, 0)
             .sever_between_freeze_and_publish(2, 1);
         let severed = run_workload(config(), plan);
         assert_eq!(
             severed.4, 2,
-            "both mid-barrier severs must fire with {threads} threads"
+            "both mid-barrier severs must fire on {backend:?} with {threads} threads"
         );
         assert_eq!(
             (&clean.0, &clean.1, &clean.2, &clean.3),
             (&severed.0, &severed.1, &severed.2, &severed.3),
-            "a cluster severed mid-barrier must heal byte-identically with {threads} threads"
+            "{backend:?} severed mid-barrier must heal byte-identically with {threads} threads"
         );
     }
 }
@@ -196,9 +210,13 @@ fn severed_pipelines_replay_byte_identically_across_client_counts() {
                 _ => panic!("commit {seq} must be acknowledged in FIFO order"),
             }
         }
-        client.send(Request::Advance { epoch: 0 }).unwrap();
+        client.send(Request::FreezeEpoch { epoch: 0 }).unwrap();
+        let ClientReply::Wire(Reply::EpochFrozen { epoch: 0 }) = client.recv().unwrap() else {
+            panic!("freeze must be acknowledged");
+        };
+        client.send(Request::PublishEpoch { epoch: 0 }).unwrap();
         let ClientReply::Epoch(_) = client.recv().unwrap() else {
-            panic!("advance must publish the frozen epoch");
+            panic!("publish must publish the frozen epoch");
         };
         client.send(Request::TotalWrites).unwrap();
         let ClientReply::Wire(Reply::TotalWrites(writes)) = client.recv().unwrap() else {
