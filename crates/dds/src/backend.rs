@@ -18,9 +18,10 @@
 //!
 //! Three implementations ship in-tree:
 //!
-//! * [`LocalBackend`] — the compact sharded store ([`crate::ShardedStore`] /
-//!   [`crate::Snapshot`] behind a [`crate::DdsChain`]), shared-memory and
-//!   lock-free on the read path.  This is the default and the fastest.
+//! * [`LocalBackend`] — the compact sharded store: a writable
+//!   [`crate::ShardedStore`] frozen in place into a [`crate::Snapshot`] per
+//!   epoch, shared-memory and lock-free on the read path.  This is the
+//!   default and the fastest.
 //! * [`crate::ChannelBackend`] — the message-passing
 //!   [`crate::RemoteBackend`] over in-process channels
 //!   ([`crate::MpscTransport`]): shard groups are owned by dedicated worker
@@ -42,10 +43,10 @@
 //! root) holds every backend to observational equivalence against
 //! [`crate::legacy::LegacyStore`], the executable specification.
 
-use crate::epoch::DdsChain;
 use crate::key::{Key, Value};
 use crate::snapshot::Snapshot;
 use crate::stats::{ShardLoad, StoreStats};
+use crate::store::ShardedStore;
 use crate::transport::RequestFaults;
 
 /// Read-only view of a completed epoch (`D_{i-1}` as seen from round `i`).
@@ -249,20 +250,23 @@ impl SnapshotView for Snapshot {
 // LocalBackend
 // ---------------------------------------------------------------------------
 
-/// The in-process sharded store as a [`DdsBackend`]: a [`DdsChain`] of
-/// [`crate::ShardedStore`]s frozen into compact [`Snapshot`]s.
+/// The in-process sharded store as a [`DdsBackend`]: the writable
+/// [`ShardedStore`] of the current epoch, frozen in place into a compact
+/// [`Snapshot`] on every advance.
 ///
 /// This is the default backend: writes take per-shard locks (shard-parallel
-/// on commit), reads are lock-free hash probes on the frozen layout.
+/// on commit), reads are lock-free hash probes on the frozen layout.  It
+/// enforces the model's read-previous / write-current discipline by
+/// construction — machines only ever see snapshots of *completed* epochs —
+/// and keeps no completed epoch itself: each snapshot lives exactly as long
+/// as the views that hold it.
 pub struct LocalBackend {
-    chain: DdsChain,
-}
-
-impl LocalBackend {
-    /// The underlying epoch chain (driver-side statistics).
-    pub fn chain(&self) -> &DdsChain {
-        &self.chain
-    }
+    /// The store accepting the current epoch's writes.
+    current: ShardedStore,
+    /// Number of completed epochs.
+    completed: usize,
+    /// Writes accepted across all epochs, the current one included.
+    writes: u64,
 }
 
 impl DdsBackend for LocalBackend {
@@ -270,32 +274,56 @@ impl DdsBackend for LocalBackend {
 
     fn with_shards(num_shards: usize, _threads: usize) -> Self {
         LocalBackend {
-            chain: DdsChain::new(num_shards),
+            current: ShardedStore::new(num_shards),
+            completed: 0,
+            writes: 0,
         }
     }
 
     fn num_shards(&self) -> usize {
-        self.chain.num_shards()
+        self.current.num_shards()
     }
 
     fn empty_view(&self) -> Snapshot {
-        Snapshot::empty(self.chain.num_shards())
+        Snapshot::empty(self.current.num_shards())
     }
 
+    /// Locks each shard once and commits distinct shards in parallel on up
+    /// to `threads` workers.  Large rounds also run the *partition pass* in
+    /// parallel ([`ShardedStore::partition_writes_parallel`]): each worker
+    /// buckets a contiguous run of batches, and the commit consumes the runs
+    /// in order, so the result is bit-identical to the single-threaded pass.
     fn commit_round(&mut self, batches: Vec<Vec<(Key, Value)>>, threads: usize) {
-        self.chain.commit_round(batches, threads);
+        // Below this many pairs the scoped-thread setup of the parallel
+        // partition costs more than the bucketing itself.
+        const PARALLEL_PARTITION_THRESHOLD: usize = 4 * 1024;
+        let total_pairs: usize = batches.iter().map(Vec::len).sum();
+        self.writes += total_pairs as u64;
+        if threads <= 1 || total_pairs < PARALLEL_PARTITION_THRESHOLD {
+            let per_shard = self.current.partition_writes(batches);
+            self.current.commit_partitioned(per_shard, threads);
+        } else {
+            let chunks = self.current.partition_writes_parallel(batches, threads);
+            self.current.commit_chunked(chunks, threads);
+        }
     }
 
+    /// Freezes the current epoch **in place** — the write-side shard maps
+    /// become the snapshot's frozen maps without a rebuild, shrunk
+    /// shard-parallel on up to `threads` workers — and opens the next one.
     fn advance(&mut self, threads: usize) -> Snapshot {
-        self.chain.advance_with_threads(threads)
+        let num_shards = self.current.num_shards();
+        let finished = std::mem::replace(&mut self.current, ShardedStore::new(num_shards));
+        self.completed += 1;
+        finished.freeze_with_threads(threads)
     }
 
     fn completed_epochs(&self) -> usize {
-        self.chain.completed_epochs()
+        self.completed
     }
 
     fn total_writes(&mut self) -> u64 {
-        self.chain.total_writes()
+        self.writes
     }
 
     fn backend_name(&self) -> &'static str {
@@ -369,6 +397,46 @@ mod tests {
     #[test]
     fn tcp_backend_satisfies_the_trait_surface() {
         exercise::<crate::TcpBackend>();
+    }
+
+    #[test]
+    fn totals_accumulate_across_epochs() {
+        let mut backend = LocalBackend::with_shards(2, 1);
+        backend.commit_round(
+            vec![(0..10u64).map(|i| (k(i), Value::scalar(i))).collect()],
+            1,
+        );
+        let _d0 = backend.advance(1);
+        backend.commit_round(
+            vec![(0..5u64).map(|i| (k(i), Value::scalar(i))).collect()],
+            1,
+        );
+        // The writable epoch's writes count before it completes.
+        assert_eq!(backend.total_writes(), 15);
+        assert_eq!(backend.completed_epochs(), 1);
+    }
+
+    #[test]
+    fn empty_advance_produces_empty_snapshot() {
+        let mut backend = LocalBackend::with_shards(3, 1);
+        let snap = backend.advance(1);
+        assert!(snap.is_empty());
+        assert_eq!(snap.num_shards(), 3);
+        assert_eq!(backend.completed_epochs(), 1);
+    }
+
+    #[test]
+    fn local_backend_does_not_retain_completed_epochs() {
+        let mut backend = LocalBackend::with_shards(4, 1);
+        backend.commit_round(vec![vec![(k(1), Value::scalar(1))]], 1);
+        let d0 = backend.advance(1);
+        let epoch0 = d0.downgrade();
+        drop(d0);
+        for round in 1..3u64 {
+            backend.commit_round(vec![vec![(k(round), Value::scalar(round))]], 1);
+            let _ = backend.advance(1);
+        }
+        assert!(epoch0.upgrade().is_none(), "epoch 0 outlived its last view");
     }
 
     #[test]

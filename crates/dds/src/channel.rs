@@ -19,9 +19,9 @@
 //! [`ChannelSnapshot`] then resolves `get` / `get_indexed` /
 //! `multiplicity` / `get_many` directly against the shared immutable maps —
 //! lock-free, with zero channel traffic — while read accounting lands in
-//! per-shard atomics inside the shared epoch, where the owner can still see
-//! it (`RemoteBackend::epoch_loads` serves the owner's view of the same
-//! counters).
+//! per-shard atomics inside the shared epoch.  The owner keeps its handle
+//! only until the next epoch publishes; after that, an epoch lives exactly
+//! as long as its views.
 //!
 //! Swap the transport for [`crate::TcpTransport`] and the identical owner
 //! loop speaks length-prefixed [`crate::proto`] frames over sockets, with
@@ -79,24 +79,6 @@ mod tests {
         assert_eq!(view.get(&k(4)), None);
         assert_eq!(view.len(), 3);
         assert_eq!(view.total_reads(), 2);
-    }
-
-    #[test]
-    fn shared_view_reads_are_visible_to_owner_served_loads() {
-        // Reads land in the shared epoch's atomics; the owner-served Loads
-        // protocol must observe them without any extra synchronisation —
-        // the shared-memory capability wire transports do not have.
-        let mut backend = backend_with(&[(1, 1), (2, 2), (3, 3), (4, 4)], 8, 2);
-        let view = backend.advance(1);
-        for i in 1..=4u64 {
-            let _ = view.get(&k(i));
-            let _ = view.multiplicity(&k(i));
-        }
-        let owner_loads = backend.epoch_loads(0).unwrap();
-        assert_eq!(owner_loads.iter().map(|l| l.reads).sum::<u64>(), 8);
-        assert_eq!(owner_loads.iter().map(|l| l.writes).sum::<u64>(), 4);
-        // The view computes the same loads locally from the shared epoch.
-        assert_eq!(view.shard_loads(), owner_loads);
     }
 
     #[test]

@@ -30,10 +30,9 @@ impl<const OWNERS: usize> ClusterBackend<OWNERS> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{DdsBackend, SnapshotView};
+    use crate::backend::{DdsBackend, LocalBackend, SnapshotView};
     use crate::key::{Key, KeyTag, Value};
     use crate::proto::RequestKind;
-    use crate::remote::RemoteSnapshot;
     use crate::serve::serve_cluster;
     use crate::transport::RequestFaults;
 
@@ -41,7 +40,7 @@ mod tests {
         Key::of(KeyTag::Scalar, a)
     }
 
-    fn full_round(backend: &mut TcpBackend) -> RemoteSnapshot {
+    fn full_round<B: DdsBackend>(backend: &mut B) -> B::View {
         backend.commit_round(
             vec![
                 (0..64u64).map(|i| (k(i % 24), Value::scalar(i))).collect(),
@@ -66,15 +65,16 @@ mod tests {
         assert_eq!(view.get_all(&k(3)).len(), 4, "3, 27, 51 and the pair");
         assert_eq!(cluster.total_writes(), 65);
 
-        // Owner-served dumps agree with the client-side replicas.
-        let mut local = view.entries();
-        let mut served = cluster.epoch_entries(0).unwrap();
-        local.sort_by_key(|&(key, _)| key);
-        served.sort_by_key(|&(key, _)| key);
-        assert_eq!(local, served);
+        // The client-side replicas hold what the in-process store holds.
+        let reference = full_round(&mut LocalBackend::with_shards(8, 1));
+        let mut replicated = view.entries();
+        let mut expected = reference.entries();
+        replicated.sort_by_key(|&(key, _)| key);
+        expected.sort_by_key(|&(key, _)| key);
+        assert_eq!(replicated, expected);
 
         // And the merged loads cover every global shard exactly once.
-        let loads = cluster.epoch_loads(0).unwrap();
+        let loads = view.shard_loads();
         assert_eq!(
             loads.iter().map(|load| load.shard).collect::<Vec<_>>(),
             (0..8).collect::<Vec<_>>()
@@ -94,8 +94,8 @@ mod tests {
         assert_eq!(lhs, rhs);
         assert_eq!(single.total_writes(), multi.total_writes());
         // Same global shard space, so the per-shard write loads also agree.
-        let lhs = single.epoch_loads(0).unwrap();
-        let rhs = multi.epoch_loads(0).unwrap();
+        let lhs = single_view.shard_loads();
+        let rhs = multi_view.shard_loads();
         assert_eq!(lhs.len(), rhs.len());
         for (l, r) in lhs.iter().zip(&rhs) {
             assert_eq!((l.shard, l.keys, l.writes), (r.shard, r.keys, r.writes));

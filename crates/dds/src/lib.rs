@@ -19,11 +19,11 @@
 //!   Machines in round *i* read from the snapshot of `D_{i-1}`; the snapshot
 //!   never changes while a round is in flight, which is exactly the property
 //!   the paper's fault-tolerance argument relies on.
-//! * [`DdsChain`] — the sequence `D_0, D_1, …` of stores produced by a run.
 //! * [`backend`] — the [`SnapshotView`] / [`DdsBackend`] trait pair that
-//!   makes the store surface pluggable: [`LocalBackend`] wraps the chain
-//!   above, while [`ChannelBackend`] and [`TcpBackend`] serve the same
-//!   surface over the message-passing wire protocol (see below).
+//!   makes the store surface pluggable: [`LocalBackend`] drives the two
+//!   types above through the sequence `D_0, D_1, …` of a run, while
+//!   [`ChannelBackend`] and [`TcpBackend`] serve the same surface over the
+//!   message-passing wire protocol (see below).
 //! * [`contention`] — the weighted balls-into-bins experiment behind
 //!   Lemma 2.1 of the paper.
 //!
@@ -49,14 +49,18 @@
 //!    every machine thread); on [`ChannelBackend`] each owner thread hands
 //!    its frozen shard group's `Arc` to the backend in its `PublishEpoch`
 //!    reply, so point and batched reads resolve against the shared maps with
-//!    **zero channel traffic** — only commits, advances, and driver-side
-//!    loads/dumps remain message-passing.  Reads are counted in per-shard
+//!    **zero channel traffic** — only commits, advances, and the write-total
+//!    query remain message-passing.  Reads are counted in per-shard
 //!    atomics inside the published epoch, keeping the Lemma 2.1 contention
-//!    accounting observable from both sides.
+//!    accounting observable from every view.
 //!
-//! Views hand-for-hand outlive the stores that made them: a snapshot taken
-//! at epoch `i` stays valid and byte-identical across later epochs and
-//! after its backend is dropped (pinned by `tests/backend_conformance.rs`).
+//! Round `i` reads only `D_{i-1}`, so that is all a backend keeps: no
+//! backend holds a completed epoch older than the latest (an owner also
+//! holds the prepared one while the barrier runs).  Views own their epoch,
+//! so they outlive the stores that made them: a snapshot taken at epoch
+//! `i` stays valid and byte-identical across later epochs and after its
+//! backend is dropped (pinned by `tests/backend_conformance.rs`), and it is
+//! freed with its last view.
 //!
 //! # The wire protocol
 //!
@@ -66,8 +70,9 @@
 //!
 //! * [`proto`] — the protocol as data: serializable [`proto::Request`] /
 //!   [`proto::Reply`] types (`Commit` / `FreezeEpoch` / `PublishEpoch` /
-//!   `Loads` / `Dump` / `TotalWrites`), a byte codec built on the constant-size pair encoding
-//!   of [`codec`], an epoch-snapshot payload for fetching frozen maps
+//!   `TotalWrites`, plus the `Lease` / `Goodbye` connection lifecycle), a
+//!   byte codec built on the constant-size pair encoding of [`codec`], an
+//!   epoch-snapshot payload for fetching frozen maps
 //!   across a process boundary (typed as [`proto::EpochFrame`]; the wire
 //!   backends encode and decode the same bytes straight between the
 //!   owner's frozen maps and the client's replica), and length-prefixed
@@ -122,13 +127,12 @@
 //! request is idempotent at the owner — `Commit` is deduplicated over a
 //! window of recent sequence numbers deep enough to absorb a full replayed
 //! pipeline, `FreezeEpoch` re-acks and `PublishEpoch` re-publishes the
-//! already-frozen epoch,
-//! `Loads`/`Dump`/`TotalWrites` are pure reads.  A clean shutdown drains
-//! both sides before the goodbye releases the lease, and expiry never
-//! counts down against a connected client, even one whose pipelined
-//! replies are still being flushed.  A reconnect that finds its session
-//! reclaimed surfaces as the typed [`TransportError::LeaseLost`].  The
-//! full state machine is drawn in [`serve`], the client policy and
+//! already-frozen epoch, and `TotalWrites` is a pure read.  A clean
+//! shutdown drains both sides before the goodbye releases the lease, and
+//! expiry never counts down against a connected client, even one whose
+//! pipelined replies are still being flushed.  A reconnect that finds its
+//! session reclaimed surfaces as the typed [`TransportError::LeaseLost`].
+//! The full state machine is drawn in [`serve`], the client policy and
 //! pipelining semantics in [`transport`]; `tests/reconnect.rs` proves
 //! mid-round severs — including severs with a full pipeline outstanding —
 //! heal byte-identically across thread counts.
@@ -146,22 +150,21 @@
 //! [`TcpBackend::spawn_cluster`] for a local cluster): it validates that
 //! all owners advertise the identical contiguous map before routing a
 //! single request, then routes commits to the owning endpoint by range
-//! lookup; `Loads` / `TotalWrites` / `Dump` fan out and aggregate.
+//! lookup; `TotalWrites` fans out and sums.
 //!
 //! Epoch advance must be atomic *across* owners, so every remote backend
 //! runs it as a client-coordinated **two-phase barrier**: phase 1 sends
 //! [`proto::Request::FreezeEpoch`] to every owner — each parks its
-//! writable epoch as *prepared*, invisible to `Loads`/`Dump`, while
-//! already accepting the next epoch's commits — and only after **all**
-//! freeze acks does phase 2 send [`proto::Request::PublishEpoch`], so no
-//! client can ever observe a mixed epoch.  Both phases follow the same
-//! **per-owner replay rules** as every other request: a freeze replayed
-//! after reconnect re-acks the prepared epoch, a publish replayed after
-//! reconnect re-publishes the identical frozen data (a
-//! prepared-but-unpublished epoch survives in the owner's session state),
-//! and commit retransmissions are deduplicated per `(session, worker)`
-//! window so concurrent clients of one owner cannot evict each other's
-//! replay state.  `cluster(n)` legs of the conformance, determinism, and
+//! writable epoch as *prepared*, unpublished, while already accepting the
+//! next epoch's commits — and only after **all** freeze acks does phase 2
+//! send [`proto::Request::PublishEpoch`], so no client can ever observe a
+//! mixed epoch.  Both phases follow the same **per-owner replay rules** as
+//! every other request: a freeze replayed after reconnect re-acks the
+//! prepared epoch, a publish replayed after reconnect re-publishes the
+//! identical frozen data (a prepared-but-unpublished epoch survives in the
+//! owner's session state), and commit retransmissions are deduplicated
+//! per `(session, worker)` window so concurrent clients of one owner
+//! cannot evict each other's replay state.  `cluster(n)` legs of the conformance, determinism, and
 //! reconnect suites hold the whole construction byte-identical to the
 //! single-process backends, for owner counts up to 8, including with an
 //! owner severed mid-barrier.
@@ -209,7 +212,6 @@ pub mod channel;
 pub mod cluster;
 pub mod codec;
 pub mod contention;
-pub mod epoch;
 pub mod hashing;
 pub mod key;
 pub mod legacy;
@@ -227,7 +229,6 @@ pub use channel::{ChannelBackend, ChannelSnapshot};
 pub use cluster::ClusterBackend;
 pub use codec::{decode_value, encode_value};
 pub use contention::{simulate_balls_into_bins, BallsInBinsReport};
-pub use epoch::DdsChain;
 pub use hashing::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use key::{Key, KeyTag, Value};
 pub use remote::{FrozenEpoch, RemoteBackend, RemoteSnapshot, TcpBackend};

@@ -38,7 +38,6 @@ use crate::hashing::FxHashMap;
 use crate::key::{Key, KeyTag, Value};
 use crate::remote::FrozenEpoch;
 use crate::slot::Slot;
-use crate::stats::ShardLoad;
 use std::fmt;
 use std::io::{IoSlice, Read, Write};
 
@@ -61,10 +60,6 @@ pub enum RequestKind {
     FreezeEpoch,
     /// [`Request::PublishEpoch`].
     PublishEpoch,
-    /// [`Request::Loads`].
-    Loads,
-    /// [`Request::Dump`].
-    Dump,
     /// [`Request::TotalWrites`].
     TotalWrites,
     /// [`Request::Lease`].
@@ -79,8 +74,6 @@ impl fmt::Display for RequestKind {
             RequestKind::Commit => "commit",
             RequestKind::FreezeEpoch => "freeze_epoch",
             RequestKind::PublishEpoch => "publish_epoch",
-            RequestKind::Loads => "loads",
-            RequestKind::Dump => "dump",
             RequestKind::TotalWrites => "total_writes",
             RequestKind::Lease => "lease",
             RequestKind::Goodbye => "goodbye",
@@ -94,8 +87,8 @@ impl fmt::Display for RequestKind {
 /// `epoch` coordinates always name the epoch the request targets: `Commit`
 /// and `FreezeEpoch` target the *writable* epoch (the number of epochs the
 /// owner has frozen so far — owners validate this and panic on a protocol
-/// violation), `PublishEpoch` the prepared one, `Loads` and `Dump` a
-/// *completed* epoch.
+/// violation) and `PublishEpoch` the prepared one.  No request names an
+/// older epoch: owners keep only the latest published one.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Apply shard-partitioned pairs to the writable epoch.
@@ -131,17 +124,6 @@ pub enum Request {
     /// freeze and publish recoverable.
     PublishEpoch {
         /// Index of the prepared epoch being published.
-        epoch: usize,
-    },
-    /// Report per-shard loads of a completed epoch (keyed by global shard
-    /// id).
-    Loads {
-        /// Completed epoch to report on.
-        epoch: usize,
-    },
-    /// Dump every `(key, values)` pair of a completed epoch (driver/tests).
-    Dump {
-        /// Completed epoch to dump.
         epoch: usize,
     },
     /// Report total writes accepted so far (all epochs, incl. writable).
@@ -181,8 +163,6 @@ impl Request {
             Request::Commit { .. } => RequestKind::Commit,
             Request::FreezeEpoch { .. } => RequestKind::FreezeEpoch,
             Request::PublishEpoch { .. } => RequestKind::PublishEpoch,
-            Request::Loads { .. } => RequestKind::Loads,
-            Request::Dump { .. } => RequestKind::Dump,
             Request::TotalWrites => RequestKind::TotalWrites,
             Request::Lease { .. } => RequestKind::Lease,
             Request::Goodbye => RequestKind::Goodbye,
@@ -223,8 +203,7 @@ pub enum ReplayPolicy {
     /// republishes the already-frozen epoch; the session-layer `Lease` and
     /// `Goodbye` lifecycle re-attaches or re-releases).
     Idempotent,
-    /// A pure read of completed state with no owner-side effect
-    /// (`Loads`, `Dump`, `TotalWrites`).
+    /// A pure read with no owner-side effect (`TotalWrites`).
     Pure,
 }
 
@@ -238,8 +217,6 @@ pub const REPLAY_POLICY: &[(RequestKind, ReplayPolicy)] = &[
     (RequestKind::Commit, ReplayPolicy::Deduped),
     (RequestKind::FreezeEpoch, ReplayPolicy::Idempotent),
     (RequestKind::PublishEpoch, ReplayPolicy::Idempotent),
-    (RequestKind::Loads, ReplayPolicy::Pure),
-    (RequestKind::Dump, ReplayPolicy::Pure),
     (RequestKind::TotalWrites, ReplayPolicy::Pure),
     (RequestKind::Lease, ReplayPolicy::Idempotent),
     (RequestKind::Goodbye, ReplayPolicy::Idempotent),
@@ -262,10 +239,6 @@ pub enum Reply {
     /// (the `encode_epoch_into` / `decode_epoch_replica` pair, which shares
     /// this variant's byte layout).
     Epoch(EpochFrame),
-    /// [`Request::Loads`] answered.
-    Loads(Vec<ShardLoad>),
-    /// [`Request::Dump`] answered.
-    Dump(Vec<(Key, Vec<Value>)>),
     /// [`Request::TotalWrites`] answered.
     TotalWrites(u64),
     /// [`Request::Lease`] answered: the lease is held.
@@ -431,10 +404,9 @@ impl std::error::Error for ProtoError {}
 // ---------------------------------------------------------------------------
 
 const TAG_COMMIT: u8 = 0;
-// Tag 1 was the retired one-shot `Advance`; it stays unassigned so old
-// frames cannot be misread as a different request.
-const TAG_LOADS: u8 = 2;
-const TAG_DUMP: u8 = 3;
+// Tags 1 (the one-shot `Advance`), 2 (`Loads`) and 3 (`Dump`) are retired;
+// they stay unassigned so old frames cannot be misread as a different
+// request.
 const TAG_TOTAL_WRITES: u8 = 4;
 const TAG_LEASE: u8 = 5;
 const TAG_GOODBYE: u8 = 6;
@@ -443,8 +415,7 @@ const TAG_PUBLISH_EPOCH: u8 = 8;
 
 const TAG_COMMITTED: u8 = 0;
 const TAG_EPOCH: u8 = 1;
-const TAG_LOADS_REPLY: u8 = 2;
-const TAG_DUMP_REPLY: u8 = 3;
+// Reply tags 2 and 3 (the `Loads` and `Dump` answers) are retired, likewise.
 const TAG_TOTAL_WRITES_REPLY: u8 = 4;
 const TAG_LEASE_GRANTED: u8 = 5;
 const TAG_EPOCH_FROZEN: u8 = 6;
@@ -547,14 +518,6 @@ pub fn encode_request_into(buf: &mut Vec<u8>, request: &Request) {
             buf.push(TAG_PUBLISH_EPOCH);
             put_u64(buf, *epoch as u64);
         }
-        Request::Loads { epoch } => {
-            buf.push(TAG_LOADS);
-            put_u64(buf, *epoch as u64);
-        }
-        Request::Dump { epoch } => {
-            buf.push(TAG_DUMP);
-            put_u64(buf, *epoch as u64);
-        }
         Request::TotalWrites => buf.push(TAG_TOTAL_WRITES),
         Request::Lease {
             session,
@@ -598,21 +561,6 @@ pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
                 let entries = shard.entries.iter().map(|(key, values)| (key, &values[..]));
                 put_epoch_shard(buf, shard.writes, shard.entries.len(), entries);
             }
-        }
-        Reply::Loads(loads) => {
-            buf.push(TAG_LOADS_REPLY);
-            put_u32(buf, loads.len() as u32);
-            for load in loads {
-                put_u64(buf, load.shard as u64);
-                put_u64(buf, load.keys);
-                put_u64(buf, load.writes);
-                put_u64(buf, load.reads);
-            }
-        }
-        Reply::Dump(entries) => {
-            buf.push(TAG_DUMP_REPLY);
-            let iter = entries.iter().map(|(key, values)| (key, &values[..]));
-            put_entries(buf, entries.len(), iter);
         }
         Reply::TotalWrites(total) => {
             buf.push(TAG_TOTAL_WRITES_REPLY);
@@ -778,8 +726,8 @@ impl Values<'_> {
     }
 }
 
-/// What an entry list decodes into: the typed `Vec` of [`Reply::Dump`] and
-/// [`ShardFrame`], or a replica's frozen shard map.
+/// What an entry list decodes into: the typed `Vec` of a [`ShardFrame`], or
+/// a replica's frozen shard map.
 trait EntrySink: Sized {
     fn with_capacity(count: usize) -> Self;
     fn push(&mut self, key: Key, values: Values<'_>) -> Result<(), ProtoError>;
@@ -905,12 +853,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtoError> {
         TAG_PUBLISH_EPOCH => Request::PublishEpoch {
             epoch: cursor.u64("publish epoch")? as usize,
         },
-        TAG_LOADS => Request::Loads {
-            epoch: cursor.u64("loads epoch")? as usize,
-        },
-        TAG_DUMP => Request::Dump {
-            epoch: cursor.u64("dump epoch")? as usize,
-        },
         TAG_TOTAL_WRITES => Request::TotalWrites,
         TAG_LEASE => Request::Lease {
             session: cursor.u64("lease session")?,
@@ -946,20 +888,6 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Reply, ProtoError> {
                 .map(|(writes, entries)| ShardFrame { writes, entries })
                 .collect(),
         }),
-        TAG_LOADS_REPLY => {
-            let count = cursor.count(32, "loads")?;
-            let mut loads = Vec::with_capacity(count);
-            for _ in 0..count {
-                loads.push(ShardLoad {
-                    shard: cursor.u64("load shard")? as usize,
-                    keys: cursor.u64("load keys")?,
-                    writes: cursor.u64("load writes")?,
-                    reads: cursor.u64("load reads")?,
-                });
-            }
-            Reply::Loads(loads)
-        }
-        TAG_DUMP_REPLY => Reply::Dump(get_entries(&mut cursor)?),
         TAG_TOTAL_WRITES_REPLY => Reply::TotalWrites(cursor.u64("total writes")?),
         TAG_LEASE_GRANTED => Reply::LeaseGranted {
             session: cursor.u64("lease session")?,
@@ -1146,10 +1074,6 @@ mod tests {
             },
             Request::FreezeEpoch { epoch: 5 },
             Request::PublishEpoch { epoch: 5 },
-            Request::Loads { epoch: 17 },
-            Request::Dump {
-                epoch: usize::MAX >> 8,
-            },
             Request::TotalWrites,
             Request::Lease {
                 session: u64::MAX,
@@ -1186,24 +1110,6 @@ mod tests {
                     },
                 ],
             }),
-            Reply::Loads(vec![
-                ShardLoad {
-                    shard: 0,
-                    keys: 1,
-                    writes: 2,
-                    reads: 3,
-                },
-                ShardLoad {
-                    shard: 9,
-                    keys: 0,
-                    writes: 0,
-                    reads: u64::MAX,
-                },
-            ]),
-            Reply::Dump(vec![(
-                Key::of(KeyTag::Successor, 5),
-                vec![Value::scalar(6), Value::scalar(7)],
-            )]),
             Reply::TotalWrites(42),
             Reply::LeaseGranted {
                 session: 7,
@@ -1312,20 +1218,26 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_rejected() {
-        assert_eq!(
-            decode_request(&[200]),
-            Err(ProtoError::UnknownTag {
-                kind: "request",
-                tag: 200
-            })
-        );
-        assert_eq!(
-            decode_reply(&[99]),
-            Err(ProtoError::UnknownTag {
-                kind: "reply",
-                tag: 99
-            })
-        );
+        // The retired request tags (1 `Advance`, 2 `Loads`, 3 `Dump`) and
+        // reply tags (2, 3) decode as unknown, like never-assigned ones —
+        // with or without the epoch payload the retired requests carried.
+        for tag in [1u8, 2, 3, 200] {
+            for bytes in [vec![tag], [&[tag][..], &7u64.to_le_bytes()].concat()] {
+                assert_eq!(
+                    decode_request(&bytes),
+                    Err(ProtoError::UnknownTag {
+                        kind: "request",
+                        tag
+                    })
+                );
+            }
+        }
+        for tag in [2u8, 3, 99] {
+            assert_eq!(
+                decode_reply(&[tag]),
+                Err(ProtoError::UnknownTag { kind: "reply", tag })
+            );
+        }
     }
 
     #[test]
@@ -1372,8 +1284,6 @@ mod tests {
             },
             Request::FreezeEpoch { epoch: 0 },
             Request::PublishEpoch { epoch: 0 },
-            Request::Loads { epoch: 0 },
-            Request::Dump { epoch: 0 },
             Request::TotalWrites,
             Request::Lease {
                 session: 0,
@@ -1389,9 +1299,7 @@ mod tests {
             let policy = request.replay_policy(); // must not panic
             match request.kind() {
                 RequestKind::Commit => assert_eq!(policy, ReplayPolicy::Deduped),
-                RequestKind::Loads | RequestKind::Dump | RequestKind::TotalWrites => {
-                    assert_eq!(policy, ReplayPolicy::Pure)
-                }
+                RequestKind::TotalWrites => assert_eq!(policy, ReplayPolicy::Pure),
                 _ => assert_eq!(policy, ReplayPolicy::Idempotent),
             }
         }
@@ -1477,19 +1385,10 @@ mod tests {
 
     #[test]
     fn corrupt_counts_cannot_over_allocate() {
-        // A Dump reply declaring u32::MAX entries in a 9-byte buffer must be
-        // rejected by the count validation, not by an allocation attempt.
-        let mut bytes = vec![TAG_DUMP_REPLY];
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&[0; 4]);
-        assert_eq!(
-            decode_reply(&bytes),
-            Err(ProtoError::Truncated { context: "entries" })
-        );
-
         // Every count of an epoch reply — shards, a shard's entries, an
-        // entry's values — declaring u32::MAX in a short buffer, through
-        // both epoch decoders.
+        // entry's values — declaring u32::MAX in a short buffer must be
+        // rejected by the count validation, not by an allocation attempt,
+        // through both epoch decoders.
         let huge = u32::MAX.to_le_bytes();
         let mut shards = vec![TAG_EPOCH];
         shards.extend_from_slice(&huge);

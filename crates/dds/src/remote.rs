@@ -30,8 +30,10 @@
 //! a round's reads resolve **locally and lock-free**: the view holds one
 //! [`FrozenEpoch`] per owner (shared or replicated — machine code cannot
 //! tell) and probes its immutable maps directly.  Only the write-side
-//! protocol (`Commit`, `FreezeEpoch`, `PublishEpoch`) and the driver-side
-//! requests (`Loads`, `Dump`, `TotalWrites`) cross the transport.
+//! protocol (`Commit`, `FreezeEpoch`, `PublishEpoch`) and the write-total
+//! query (`TotalWrites`) cross the transport.  Owners keep only their latest
+//! published epoch (plus the prepared one while the barrier runs); every
+//! earlier epoch lives exactly as long as the views that hold it.
 //!
 //! # The two-phase advance
 //!
@@ -40,7 +42,7 @@
 //! ```text
 //!  phase 1: FreezeEpoch(e) ──► every owner      (all must ack…)
 //!                 owner: park writable epoch e as `prepared`
-//!                        — invisible to Loads/Dump, commits for e+1 accepted
+//!                        — unpublished, commits for e+1 accepted
 //!  phase 2: PublishEpoch(e) ──► every owner     (…before any publish)
 //!                 owner: prepared → published, reply with the epoch frame
 //! ```
@@ -114,6 +116,16 @@ impl FrozenEpoch {
             writes,
             reads,
         }
+    }
+
+    /// Every `(key, values)` pair of the group, in no particular order —
+    /// what [`SnapshotView::entries`] returns for one owner.  Not a model
+    /// operation and not counted as reads.
+    pub fn entries(&self) -> impl Iterator<Item = (Key, Vec<Value>)> + '_ {
+        self.shards
+            .iter()
+            .flatten()
+            .map(|(key, slot)| (*key, slot.as_slice().to_vec()))
     }
 }
 
@@ -273,9 +285,9 @@ impl<T: Transport> RemoteBackend<T> {
         let mut clients = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
-            let shard_ids: Vec<usize> = (worker..num_shards).step_by(workers).collect();
+            let shard_count = (worker..num_shards).step_by(workers).count();
             let (client, server) = T::connect(worker);
-            let state = Worker::new(shard_ids);
+            let state = Worker::new(shard_count);
             let handle = std::thread::Builder::new()
                 .name(format!("dds-owner-{worker}"))
                 .spawn(move || state.serve(server))
@@ -452,50 +464,6 @@ impl<T: Transport> RemoteBackend<T> {
             }
         }
         Ok(total)
-    }
-
-    /// Owner-served per-shard loads of completed epoch `epoch`, sorted by
-    /// global shard id.
-    ///
-    /// Note the accounting asymmetry on wire transports: reads resolve
-    /// against client-side replicas, so the owner's read counters stay at
-    /// zero there; on shared-memory transports owner and views count in the
-    /// same atomics.  Views therefore serve [`SnapshotView::shard_loads`]
-    /// from their own epoch data; this request exists for drivers and tests
-    /// that audit the owner side.
-    pub fn epoch_loads(&mut self, epoch: usize) -> Result<Vec<ShardLoad>, TransportError> {
-        let mut loads = Vec::new();
-        for (worker, reply) in self
-            .fan_out(Request::Loads { epoch })?
-            .into_iter()
-            .enumerate()
-        {
-            match reply {
-                Reply::Loads(worker_loads) => loads.extend(worker_loads),
-                other => return Err(unexpected(worker, "a loads reply", &other)),
-            }
-        }
-        loads.sort_by_key(|load| load.shard);
-        Ok(loads)
-    }
-
-    /// Owner-served dump of completed epoch `epoch` (no particular order).
-    pub fn epoch_entries(
-        &mut self,
-        epoch: usize,
-    ) -> Result<Vec<(Key, Vec<Value>)>, TransportError> {
-        let mut entries = Vec::new();
-        for (worker, reply) in self
-            .fan_out(Request::Dump { epoch })?
-            .into_iter()
-            .enumerate()
-        {
-            match reply {
-                Reply::Dump(worker_entries) => entries.extend(worker_entries),
-                other => return Err(unexpected(worker, "a dump reply", &other)),
-            }
-        }
-        Ok(entries)
     }
 }
 
@@ -982,15 +950,11 @@ impl SnapshotView for RemoteSnapshot {
     }
 
     fn entries(&self) -> Vec<(Key, Vec<Value>)> {
-        let mut entries = Vec::new();
-        for group in &self.inner.groups {
-            for shard in &group.shards {
-                for (key, slot) in shard {
-                    entries.push((*key, slot.as_slice().to_vec()));
-                }
-            }
-        }
-        entries
+        self.inner
+            .groups
+            .iter()
+            .flat_map(|group| group.entries())
+            .collect()
     }
 }
 
@@ -1024,24 +988,13 @@ mod tests {
         );
         let view = backend.advance(1);
 
-        // The owner-served dump matches the view's local entries…
-        let mut local = view.entries();
-        let mut served = backend.epoch_entries(0).unwrap();
-        local.sort_by_key(|&(key, _)| key);
-        served.sort_by_key(|&(key, _)| key);
-        assert_eq!(local, served);
-
-        // …and the owner-served loads agree on keys and writes (read
-        // counters live client-side on wire transports, so they are
-        // excluded here; `channel.rs` pins the shared-memory case).
-        let served = backend.epoch_loads(0).unwrap();
-        let local = view.shard_loads();
-        assert_eq!(local.len(), served.len());
-        for (local, served) in local.iter().zip(&served) {
-            assert_eq!(local.shard, served.shard);
-            assert_eq!(local.keys, served.keys);
-            assert_eq!(local.writes, served.writes);
-        }
+        // The owner-served write total agrees with the writes the view's
+        // local loads account for, and the loads cover every key once.
+        let loads = view.shard_loads();
+        assert_eq!(loads.len(), 8);
+        assert_eq!(loads.iter().map(|load| load.writes).sum::<u64>(), 41);
+        assert_eq!(loads.iter().map(|load| load.keys).sum::<u64>(), 10);
+        assert_eq!(view.entries().len(), 10);
         assert_eq!(backend.total_writes(), 41);
     }
 
@@ -1059,16 +1012,21 @@ mod tests {
         let mut backend = RemoteBackend::<T>::new(4, 2);
         backend.commit_round(vec![vec![(k(1), Value::scalar(1))]], 1);
         let _ = backend.advance(1);
-        // Asking for an epoch that does not exist is a protocol violation:
-        // the owner panics, and the client must surface a typed error
-        // carrying the harvested panic payload — not hang on a dead
+        // Publishing an epoch that was never frozen is a protocol
+        // violation: the owner panics, and the client must surface a typed
+        // error carrying the harvested panic payload — not hang on a dead
         // connection.
-        let err = backend.epoch_loads(7).unwrap_err();
+        let err = backend
+            .fan_out(Request::PublishEpoch { epoch: 7 })
+            .unwrap_err();
         match err {
             TransportError::PeerClosed {
                 panic: Some(message),
                 ..
-            } => assert!(message.contains("unknown epoch 7"), "{message}"),
+            } => assert!(
+                message.contains("publish must name the prepared epoch"),
+                "{message}"
+            ),
             other => panic!("expected a harvested owner panic, got {other:?}"),
         }
     }
@@ -1133,6 +1091,23 @@ mod tests {
     #[test]
     fn tcp_retransmitted_requests_apply_exactly_once() {
         retransmitted_requests_apply_exactly_once::<TcpTransport>();
+    }
+
+    #[test]
+    fn owners_do_not_retain_epochs_older_than_the_latest() {
+        let mut backend = RemoteBackend::<MpscTransport>::new(4, 2);
+        backend.commit_round(vec![vec![(k(1), Value::scalar(1))]], 1);
+        let view = backend.advance(1);
+        // On the shared-memory transport the view and the owner hold the
+        // same allocation, so once the view is gone only the owner could
+        // keep epoch 0 alive.
+        let epoch0 = Arc::downgrade(&view.inner.groups[0]);
+        drop(view);
+        for round in 1..3u64 {
+            backend.commit_round(vec![vec![(k(round), Value::scalar(round))]], 1);
+            let _ = backend.advance(1);
+        }
+        assert!(epoch0.upgrade().is_none(), "epoch 0 outlived its last view");
     }
 
     #[test]

@@ -102,10 +102,10 @@ impl ClusterRole {
         }
     }
 
-    /// The shards this owner holds out of a `num_shards`-shard session.
-    fn shard_ids(&self, num_shards: usize) -> Vec<usize> {
+    /// How many shards this owner holds out of a `num_shards`-shard session.
+    fn shard_count(&self, num_shards: usize) -> usize {
         let n = self.peers.len().max(1);
-        (self.node * num_shards / n..(self.node + 1) * num_shards / n).collect()
+        (self.node + 1) * num_shards / n - self.node * num_shards / n
     }
 }
 
@@ -377,14 +377,12 @@ fn spawn_session(
     let num_shards = (lease.num_shards as usize).max(1);
     let workers = (lease.workers as usize).clamp(1, num_shards);
     let worker = (lease.worker as usize).min(workers.saturating_sub(1));
-    let (shard_ids, shard_map) = match role {
-        Some(role) => (role.shard_ids(num_shards), Some(role.shard_map(num_shards))),
-        None => (
-            (worker..num_shards)
-                .step_by(workers)
-                .collect::<Vec<usize>>(),
-            None,
+    let (shard_count, shard_map) = match role {
+        Some(role) => (
+            role.shard_count(num_shards),
+            Some(role.shard_map(num_shards)),
         ),
+        None => ((worker..num_shards).step_by(workers).count(), None),
     };
     let (tx, rx) = channel::<ServeHandoff>();
     let alive = Arc::new(AtomicBool::new(true));
@@ -402,7 +400,7 @@ fn spawn_session(
             }
             let _guard = AliveGuard(thread_alive);
             let server = TcpServer::from_mailbox(rx, worker).with_shard_map(shard_map);
-            Worker::new(shard_ids).serve(server);
+            Worker::new(shard_count).serve(server);
         });
     match handle {
         Ok(handle) => {

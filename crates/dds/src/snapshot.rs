@@ -62,6 +62,13 @@ impl Snapshot {
         Snapshot::from_parts(vec![FxHashMap::default(); num_shards], vec![0; num_shards])
     }
 
+    /// A weak handle on the snapshot's shared data, for tests that pin how
+    /// long an epoch stays alive.
+    #[cfg(test)]
+    pub(crate) fn downgrade(&self) -> std::sync::Weak<impl Sized> {
+        Arc::downgrade(&self.inner)
+    }
+
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.inner.shards.len()

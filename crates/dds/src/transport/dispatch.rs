@@ -20,7 +20,12 @@
 //!   published) epoch is re-acked, a replayed publish re-sends the
 //!   published frame, and a prepared-but-unpublished epoch survives a
 //!   reconnect and is publishable afterwards.
-//! * `Loads` / `Dump` / `TotalWrites` are pure reads.
+//! * `TotalWrites` is a pure read.
+//!
+//! An owner keeps only the epochs the protocol can still name: the latest
+//! published epoch (a replayed `PublishEpoch` re-sends it) and, while the
+//! barrier runs, the prepared one.  Older epochs live on only in the views
+//! that hold them.
 //!
 //! Connection-lifecycle requests (`Lease`, `Goodbye`) are consumed entirely
 //! by the session layer and never reach dispatch.
@@ -30,10 +35,8 @@ use crate::key::Key;
 use crate::proto::{Reply, Request};
 use crate::remote::FrozenEpoch;
 use crate::slot::Slot;
-use crate::stats::ShardLoad;
 use crate::transport::{OwnerReply, ServerTransport};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Commit acknowledgements remembered for deduplication.  Must exceed the
@@ -45,19 +48,19 @@ const COMMIT_REPLAY_WINDOW: usize = 256;
 /// The single-threaded state of one shard-group owner, serving
 /// [`crate::proto`] requests over any [`ServerTransport`].
 pub(crate) struct Worker {
-    /// Global shard ids owned by this worker (ascending).
-    shard_ids: Vec<usize>,
     /// Writable maps of the current epoch, one per owned shard.
     writable: Vec<FxHashMap<Key, Slot>>,
     /// Writes accepted into the current epoch, per owned shard.
     writable_writes: Vec<u64>,
-    /// Published epochs, in order; the owner keeps its own handle so it can
-    /// serve `Loads` / `Dump` for epochs whose views are long gone.
-    frozen: Vec<Arc<FrozenEpoch>>,
+    /// Number of epochs published so far.
+    published_epochs: usize,
+    /// The most recently published epoch: all a replayed `PublishEpoch`
+    /// re-sends.  Earlier epochs are dropped here as soon as a later one
+    /// publishes.
+    published: Option<Arc<FrozenEpoch>>,
     /// An epoch frozen by `FreezeEpoch` but not yet released by
-    /// `PublishEpoch` — phase 1 of the two-phase barrier parks it here, so
-    /// it is never observable through `Loads` / `Dump` (which only see
-    /// `frozen`) until every owner has acked its freeze and the coordinator
+    /// `PublishEpoch` — phase 1 of the two-phase barrier parks it here
+    /// until every owner has acked its freeze and the coordinator
     /// publishes.
     prepared: Option<Arc<FrozenEpoch>>,
     /// Total writes accepted across all epochs.
@@ -73,12 +76,13 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    pub(crate) fn new(shard_ids: Vec<usize>) -> Worker {
+    /// An owner of `shard_count` shards, addressed by local index.
+    pub(crate) fn new(shard_count: usize) -> Worker {
         Worker {
-            writable: (0..shard_ids.len()).map(|_| FxHashMap::default()).collect(),
-            writable_writes: vec![0; shard_ids.len()],
-            shard_ids,
-            frozen: Vec::new(),
+            writable: (0..shard_count).map(|_| FxHashMap::default()).collect(),
+            writable_writes: vec![0; shard_count],
+            published_epochs: 0,
+            published: None,
             prepared: None,
             total_writes: 0,
             recent_commits: FxHashMap::default(),
@@ -101,22 +105,10 @@ impl Worker {
         }
     }
 
-    /// A completed epoch, validated (protocol violations are owner bugs or a
-    /// confused client and panic — the transport layer turns the dead
-    /// connection into a typed error on the client side).
-    fn completed(&self, epoch: usize, what: &str) -> &Arc<FrozenEpoch> {
-        assert!(
-            epoch < self.frozen.len(),
-            "owner asked to {what} unknown epoch {epoch} ({} completed)",
-            self.frozen.len()
-        );
-        &self.frozen[epoch]
-    }
-
     /// Freeze the writable maps in place and hand them over as one epoch
     /// (`FreezeEpoch` parks the result until its `PublishEpoch`).
     fn freeze_writable(&mut self) -> Arc<FrozenEpoch> {
-        let shard_count = self.shard_ids.len();
+        let shard_count = self.writable.len();
         // In-place freeze: reuse the writable maps as the frozen maps,
         // only shrinking the rare multi-value slots.
         let mut shards = std::mem::replace(
@@ -134,7 +126,7 @@ impl Worker {
     /// plus one if an epoch is frozen-but-unpublished (its successor is
     /// already accepting writes while the barrier completes).
     fn writable_epoch(&self) -> usize {
-        self.frozen.len() + usize::from(self.prepared.is_some())
+        self.published_epochs + usize::from(self.prepared.is_some())
     }
 
     fn handle(&mut self, session: u64, request: Request) -> OwnerReply {
@@ -191,36 +183,33 @@ impl Worker {
                     // without touching the writable maps (which now belong
                     // to the next epoch).
                     assert_eq!(
-                        epoch,
-                        self.frozen.len(),
+                        epoch, self.published_epochs,
                         "freeze replay must name the prepared epoch"
                     );
                     return OwnerReply::Wire(Reply::EpochFrozen { epoch });
                 }
-                if epoch + 1 == self.frozen.len() {
+                if epoch + 1 == self.published_epochs {
                     // Freeze and publish both completed before the replay
                     // arrived (the sever hit after the barrier finished).
                     return OwnerReply::Wire(Reply::EpochFrozen { epoch });
                 }
                 assert_eq!(
-                    epoch,
-                    self.frozen.len(),
+                    epoch, self.published_epochs,
                     "freeze must target the writable epoch"
                 );
                 self.prepared = Some(self.freeze_writable());
                 OwnerReply::Wire(Reply::EpochFrozen { epoch })
             }
             Request::PublishEpoch { epoch } => {
-                if epoch + 1 == self.frozen.len() {
+                if epoch + 1 == self.published_epochs {
                     // Retransmission of a publish whose reply was lost:
                     // re-send the identical frame.
-                    // lint: allow(panic) — infallible: frozen.len() == epoch + 1 ≥ 1 in this branch
-                    let replay = self.frozen.last().expect("a frozen epoch exists").clone();
+                    // lint: allow(panic) — infallible: published_epochs == epoch + 1 ≥ 1 in this branch
+                    let replay = self.published.clone().expect("a published epoch exists");
                     return OwnerReply::Epoch(replay);
                 }
                 assert_eq!(
-                    epoch,
-                    self.frozen.len(),
+                    epoch, self.published_epochs,
                     "publish must name the prepared epoch"
                 );
                 let prepared = self
@@ -228,33 +217,9 @@ impl Worker {
                     .take()
                     // lint: allow(panic) — owner-side protocol violation: panics are the owner's error surface, harvested into TransportError::PeerClosed at the round boundary
                     .expect("publish without a prepared freeze");
-                self.frozen.push(prepared.clone());
+                self.published_epochs += 1;
+                self.published = Some(prepared.clone());
                 OwnerReply::Epoch(prepared)
-            }
-            Request::Loads { epoch } => {
-                let epoch = self.completed(epoch, "report loads of");
-                let loads = self
-                    .shard_ids
-                    .iter()
-                    .enumerate()
-                    .map(|(local, &shard)| ShardLoad {
-                        shard,
-                        keys: epoch.shards[local].len() as u64,
-                        writes: epoch.writes[local],
-                        reads: epoch.reads[local].load(Ordering::Relaxed),
-                    })
-                    .collect();
-                OwnerReply::Wire(Reply::Loads(loads))
-            }
-            Request::Dump { epoch } => {
-                let epoch = self.completed(epoch, "dump");
-                let mut entries = Vec::new();
-                for shard in &epoch.shards {
-                    for (key, slot) in shard {
-                        entries.push((*key, slot.as_slice().to_vec()));
-                    }
-                }
-                OwnerReply::Wire(Reply::Dump(entries))
             }
             Request::TotalWrites => OwnerReply::Wire(Reply::TotalWrites(self.total_writes)),
             // Connection-lifecycle requests are consumed by the transport /
@@ -296,7 +261,7 @@ mod tests {
 
     #[test]
     fn replayed_pipelines_are_reacked_from_the_window_not_reapplied() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(1);
         // A pipeline of six commits lands…
         for seq in 0..6 {
             assert_eq!(accepted(worker.handle(0, commit(seq, 0, 3))), 3);
@@ -318,7 +283,7 @@ mod tests {
 
     #[test]
     fn replayed_commits_of_a_frozen_epoch_are_reacked() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(1);
         assert_eq!(accepted(worker.handle(0, commit(0, 0, 4))), 4);
         // The epoch freezes while the commit's ack is lost in flight…
         let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
@@ -337,7 +302,7 @@ mod tests {
 
     #[test]
     fn the_window_is_bounded() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(1);
         for seq in 0..(2 * COMMIT_REPLAY_WINDOW as u64) {
             worker.handle(0, commit(seq, 0, 1));
         }
@@ -358,7 +323,7 @@ mod tests {
         // must still be re-acked from A's own window — with a single
         // shared window, B's burst would have evicted them and the replay
         // would double-apply.
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(1);
         for seq in 0..4 {
             assert_eq!(accepted(worker.handle(7, commit(seq, 0, 2))), 2);
         }
@@ -383,17 +348,20 @@ mod tests {
 
     #[test]
     fn freeze_then_publish_is_idempotent() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(1);
         assert_eq!(accepted(worker.handle(0, commit(0, 0, 3))), 3);
 
-        // Phase 1: the epoch freezes but stays unpublished — Loads/Dump
-        // must not see it yet (no mixed epoch is ever observable).
+        // Phase 1: the epoch freezes but stays unpublished (no mixed epoch
+        // is ever observable).
         let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
             worker.handle(0, Request::FreezeEpoch { epoch: 0 })
         else {
             panic!("freeze must be acked");
         };
-        assert_eq!(worker.frozen.len(), 0, "prepared epochs are not published");
+        assert_eq!(
+            worker.published_epochs, 0,
+            "prepared epochs are not published"
+        );
 
         // A replayed freeze (reply lost, connection replayed) re-acks.
         let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
@@ -401,7 +369,7 @@ mod tests {
         else {
             panic!("freeze replay must be re-acked");
         };
-        assert_eq!(worker.frozen.len(), 0);
+        assert_eq!(worker.published_epochs, 0);
 
         // Commits for the *next* epoch are already accepted while the
         // barrier is still completing.
@@ -413,7 +381,7 @@ mod tests {
             panic!("publish must answer with the epoch");
         };
         assert_eq!(published.writes, vec![3]);
-        assert_eq!(worker.frozen.len(), 1);
+        assert_eq!(worker.published_epochs, 1);
 
         // …and a replayed publish after a reconnect re-sends the same
         // frame (a prepared-but-unpublished epoch must be re-publishable
@@ -423,7 +391,7 @@ mod tests {
             panic!("publish replay must answer with the epoch");
         };
         assert!(Arc::ptr_eq(&published, &replayed));
-        assert_eq!(worker.frozen.len(), 1, "replay must not double-publish");
+        assert_eq!(worker.published_epochs, 1, "replay must not double-publish");
 
         // A replayed freeze of the now-published epoch is also re-acked.
         let OwnerReply::Wire(Reply::EpochFrozen { epoch: 0 }) =
@@ -431,13 +399,39 @@ mod tests {
         else {
             panic!("freeze replay after publish must be re-acked");
         };
-        assert_eq!(worker.frozen.len(), 1);
+        assert_eq!(worker.published_epochs, 1);
+    }
+
+    #[test]
+    fn only_the_latest_published_epoch_is_retained() {
+        let mut worker = Worker::new(1);
+        let publish = |worker: &mut Worker, epoch: usize| {
+            worker.handle(0, commit(epoch as u64, epoch, 2));
+            worker.handle(0, Request::FreezeEpoch { epoch });
+            match worker.handle(0, Request::PublishEpoch { epoch }) {
+                OwnerReply::Epoch(published) => published,
+                _ => panic!("publish must answer with the epoch"),
+            }
+        };
+        let epoch0 = Arc::downgrade(&publish(&mut worker, 0));
+        publish(&mut worker, 1);
+        let latest = publish(&mut worker, 2);
+        assert!(
+            epoch0.upgrade().is_none(),
+            "the owner must not keep epochs the protocol can no longer name"
+        );
+        // The latest epoch is still held: a replayed publish re-sends it.
+        let OwnerReply::Epoch(replayed) = worker.handle(0, Request::PublishEpoch { epoch: 2 })
+        else {
+            panic!("publish replay must answer with the epoch");
+        };
+        assert!(Arc::ptr_eq(&latest, &replayed));
     }
 
     #[test]
     #[should_panic(expected = "publish without a prepared freeze")]
     fn publish_without_freeze_is_a_protocol_violation() {
-        let mut worker = Worker::new(vec![0]);
+        let mut worker = Worker::new(1);
         worker.handle(0, Request::PublishEpoch { epoch: 0 });
     }
 }

@@ -89,10 +89,10 @@
 //! `Commit` is deduplicated by sequence number (over a window deep enough
 //! for a full pipeline of outstanding commits), `FreezeEpoch` re-acks the
 //! prepared epoch, `PublishEpoch` re-publishes the already-frozen epoch,
-//! and `Loads` / `Dump` / `TotalWrites` are pure reads.  A reconnect that lands on an owner which already reclaimed the
-//! session (lease expired) surfaces as the typed
-//! [`TransportError::LeaseLost`] — continuing silently would resurrect a
-//! session whose pending state is gone.
+//! and `TotalWrites` is a pure read.  A reconnect that lands on an owner
+//! which already reclaimed the session (lease expired) surfaces as the
+//! typed [`TransportError::LeaseLost`] — continuing silently would
+//! resurrect a session whose pending state is gone.
 //!
 //! # Fault injection
 //!

@@ -1,13 +1,13 @@
 //! Property tests for the DDS substrate: the store behaves like a
 //! multi-map with stable per-key ordering, snapshots are faithful frozen
-//! copies, the codec round-trips every key/value, the epoch chain keeps
+//! copies, the codec round-trips every key/value, the local backend keeps
 //! rounds isolated under arbitrary interleavings of writes and advances,
 //! and the compact slot layout is observationally equivalent to the
 //! pre-refactor `Vec`-per-key layout kept in `ampc_dds::legacy`.
 
 use ampc_dds::codec::{decode_pair, encode_pair, ENCODED_PAIR_BYTES};
 use ampc_dds::legacy::LegacyStore;
-use ampc_dds::{DdsChain, Key, KeyTag, ShardedStore, Value};
+use ampc_dds::{DdsBackend, Key, KeyTag, LocalBackend, ShardedStore, Value};
 use proptest::prelude::*;
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {
@@ -67,18 +67,20 @@ proptest! {
         rounds in proptest::collection::vec(proptest::collection::vec((0u64..40, any::<u64>()), 0..40), 1..6),
         shards in 1usize..9
     ) {
-        let mut chain = DdsChain::new(shards);
+        let mut backend = LocalBackend::with_shards(shards, 1);
+        let mut snapshots = Vec::new();
         for pairs in &rounds {
-            for &(k, v) in pairs {
-                chain.write(Key::of(KeyTag::Scalar, k), Value::scalar(v));
-            }
-            chain.advance();
+            let batch = pairs
+                .iter()
+                .map(|&(k, v)| (Key::of(KeyTag::Scalar, k), Value::scalar(v)))
+                .collect();
+            backend.commit_round(vec![batch], 1);
+            snapshots.push(backend.advance(ampc_dds::default_parallelism()));
         }
-        prop_assert_eq!(chain.completed_epochs(), rounds.len());
+        prop_assert_eq!(backend.completed_epochs(), rounds.len());
         // Every epoch's snapshot contains exactly the keys written in that
         // epoch (with the right multiplicities) and nothing from any other.
-        for (epoch, pairs) in rounds.iter().enumerate() {
-            let snapshot = chain.snapshot(epoch).unwrap();
+        for (snapshot, pairs) in snapshots.iter().zip(&rounds) {
             let mut expected: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
             for &(k, _) in pairs {
                 *expected.entry(k).or_default() += 1;

@@ -1,7 +1,7 @@
 //! Property tests pinning the `ampc_dds::proto` wire format.
 //!
 //! Every `Request` / `Reply` variant must round-trip through the byte codec
-//! for arbitrary payloads (batches, epoch ids, shard loads, epoch frames),
+//! for arbitrary payloads (batches, epoch ids, shard maps, epoch frames),
 //! and malformed frames — truncated at any byte, oversized, carrying
 //! unknown tags or trailing garbage — must be rejected with a typed error,
 //! never a panic or a bogus decode.
@@ -10,7 +10,7 @@ use ampc_dds::proto::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, write_frame,
     EpochFrame, OwnerSlice, ProtoError, Reply, Request, ShardFrame, ShardMap, MAX_FRAME_BYTES,
 };
-use ampc_dds::{Key, KeyTag, ShardLoad, Value};
+use ampc_dds::{Key, KeyTag, Value};
 use proptest::prelude::*;
 
 fn arbitrary_key() -> impl Strategy<Value = Key> {
@@ -41,7 +41,7 @@ fn arbitrary_entries() -> impl Strategy<Value = Vec<(Key, Vec<Value>)>> {
 
 fn arbitrary_request() -> impl Strategy<Value = Request> {
     (
-        0u32..8,
+        0u32..6,
         0u64..1_000_000,
         any::<u64>(),
         proptest::collection::vec((0usize..64, arbitrary_pairs()), 0..6),
@@ -55,21 +55,15 @@ fn arbitrary_request() -> impl Strategy<Value = Request> {
             1 => Request::FreezeEpoch {
                 epoch: epoch as usize,
             },
-            2 => Request::Loads {
-                epoch: epoch as usize,
-            },
-            3 => Request::Dump {
-                epoch: epoch as usize,
-            },
-            4 => Request::Lease {
+            2 => Request::Lease {
                 session: seq,
                 worker: epoch % 64,
                 num_shards: (epoch % 1024).max(1),
                 workers: (seq % 64).max(1),
                 ttl_ms: epoch,
             },
-            5 => Request::Goodbye,
-            6 => Request::PublishEpoch {
+            3 => Request::Goodbye,
+            4 => Request::PublishEpoch {
                 epoch: epoch as usize,
             },
             _ => Request::TotalWrites,
@@ -97,20 +91,6 @@ fn shard_map_from(seed: u64) -> Option<ShardMap> {
     })
 }
 
-fn arbitrary_loads() -> impl Strategy<Value = Vec<ShardLoad>> {
-    proptest::collection::vec(
-        (0usize..1024, any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-            |(shard, keys, writes, reads)| ShardLoad {
-                shard,
-                keys,
-                writes,
-                reads,
-            },
-        ),
-        0..10,
-    )
-}
-
 fn arbitrary_frame() -> impl Strategy<Value = EpochFrame> {
     proptest::collection::vec(
         (any::<u64>(), arbitrary_entries())
@@ -121,35 +101,25 @@ fn arbitrary_frame() -> impl Strategy<Value = EpochFrame> {
 }
 
 fn arbitrary_reply() -> impl Strategy<Value = Reply> {
-    (
-        0u32..7,
-        0u64..1_000_000,
-        any::<u64>(),
-        arbitrary_frame(),
-        arbitrary_loads(),
-        arbitrary_entries(),
-    )
-        .prop_map(
-            |(variant, epoch, count, frame, loads, entries)| match variant {
-                0 => Reply::Committed {
-                    epoch: epoch as usize,
-                    accepted: count,
-                },
-                1 => Reply::Epoch(frame),
-                2 => Reply::Loads(loads),
-                3 => Reply::Dump(entries),
-                4 => Reply::LeaseGranted {
-                    session: count,
-                    ttl_ms: epoch,
-                    resumed: count % 2 == 0,
-                    shard_map: shard_map_from(count),
-                },
-                5 => Reply::EpochFrozen {
-                    epoch: epoch as usize,
-                },
-                _ => Reply::TotalWrites(count),
+    (0u32..5, 0u64..1_000_000, any::<u64>(), arbitrary_frame()).prop_map(
+        |(variant, epoch, count, frame)| match variant {
+            0 => Reply::Committed {
+                epoch: epoch as usize,
+                accepted: count,
             },
-        )
+            1 => Reply::Epoch(frame),
+            2 => Reply::LeaseGranted {
+                session: count,
+                ttl_ms: epoch,
+                resumed: count % 2 == 0,
+                shard_map: shard_map_from(count),
+            },
+            3 => Reply::EpochFrozen {
+                epoch: epoch as usize,
+            },
+            _ => Reply::TotalWrites(count),
+        },
+    )
 }
 
 proptest! {
@@ -233,7 +203,7 @@ fn oversized_frames_are_rejected_without_allocating() {
 
 #[test]
 fn frames_cut_mid_payload_are_unexpected_eof() {
-    let payload = encode_request(&Request::Loads { epoch: 3 });
+    let payload = encode_request(&Request::FreezeEpoch { epoch: 3 });
     let mut wire = Vec::new();
     write_frame(&mut wire, &payload).unwrap();
     let mut scratch = Vec::new();

@@ -199,7 +199,7 @@ fn real_sources() -> (String, String) {
 #[test]
 fn removing_a_real_replay_policy_entry_is_detected() {
     let (proto, dispatch) = real_sources();
-    let entry = "(RequestKind::Dump, ReplayPolicy::Pure),";
+    let entry = "(RequestKind::TotalWrites, ReplayPolicy::Pure),";
     assert_eq!(proto.matches(entry).count(), 1, "entry present to delete");
     let mutated = proto.replace(entry, "");
     let ws = Workspace::from_files([
@@ -211,7 +211,7 @@ fn removing_a_real_replay_policy_entry_is_detected() {
         &diags,
         "proto-conformance",
         "proto.rs",
-        &["Request::Dump", "missing from REPLAY_POLICY"],
+        &["Request::TotalWrites", "missing from REPLAY_POLICY"],
     );
 }
 
@@ -221,9 +221,9 @@ fn removing_a_real_replay_policy_entry_is_detected() {
 #[test]
 fn removing_a_real_dispatch_arm_is_detected() {
     let (proto, dispatch) = real_sources();
-    let arm = "Request::Loads { epoch }";
+    let arm = "Request::TotalWrites =>";
     assert!(dispatch.contains(arm), "arm present to remove");
-    let mutated = dispatch.replace("Request::Loads", "Request::LoadsGone");
+    let mutated = dispatch.replace("Request::TotalWrites", "Request::TotalWritesGone");
     let ws = Workspace::from_files([
         ("crates/dds/src/proto.rs", proto.as_str()),
         ("crates/dds/src/transport/dispatch.rs", mutated.as_str()),
@@ -233,7 +233,7 @@ fn removing_a_real_dispatch_arm_is_detected() {
         &diags,
         "proto-conformance",
         "transport/dispatch.rs",
-        &["Request::Loads", "no match arm"],
+        &["Request::TotalWrites", "no match arm"],
     );
 }
 

@@ -215,17 +215,14 @@ fn severed_pipelines_replay_byte_identically_across_client_counts() {
             panic!("freeze must be acknowledged");
         };
         client.send(Request::PublishEpoch { epoch: 0 }).unwrap();
-        let ClientReply::Epoch(_) = client.recv().unwrap() else {
+        let ClientReply::Epoch(published) = client.recv().unwrap() else {
             panic!("publish must publish the frozen epoch");
         };
         client.send(Request::TotalWrites).unwrap();
         let ClientReply::Wire(Reply::TotalWrites(writes)) = client.recv().unwrap() else {
             panic!("total-writes must be answered");
         };
-        client.send(Request::Dump { epoch: 0 }).unwrap();
-        let ClientReply::Wire(Reply::Dump(mut entries)) = client.recv().unwrap() else {
-            panic!("dump must be answered");
-        };
+        let mut entries: Vec<_> = published.entries().collect();
         entries.sort_by_key(|&(key, _)| key);
         (entries, writes, faults.severed())
     };
