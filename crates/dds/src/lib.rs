@@ -132,6 +132,8 @@
 //! expiry never counts down against a connected client, even one whose
 //! pipelined replies are still being flushed.  A reconnect that finds its
 //! session reclaimed surfaces as the typed [`TransportError::LeaseLost`].
+//! Every lease names its connection generation, so an owner never adopts a
+//! superseded connection that reaches it after its successor.
 //! The full state machine is drawn in [`serve`], the client policy and
 //! pipelining semantics in [`transport`]; `tests/reconnect.rs` proves
 //! mid-round severs — including severs with a full pipeline outstanding —

@@ -149,6 +149,14 @@ pub enum Request {
         /// expires.  The owner starts the expiry countdown when the
         /// connection drops, not while it is merely idle.
         ttl_ms: u64,
+        /// Connection generation of the sending transport: `0` on its first
+        /// connection, one more on every reconnect dial.  Handshakes are
+        /// routed concurrently, so a severed connection's handoff can reach
+        /// the owner after its successor's; the owner adopts only handoffs
+        /// newer than the connection it adopted last and drops the rest,
+        /// so a dead socket's buffered requests are never dispatched.
+        /// Ignored on a mid-stream renewal.
+        generation: u64,
     },
     /// Clean-shutdown notice: the client is done and will not reconnect,
     /// so the owner may release the session immediately instead of holding
@@ -249,12 +257,18 @@ pub enum Reply {
         ttl_ms: u64,
         /// `true` if existing session state was resumed (a reconnect
         /// re-attached to a live owner), `false` if the owner started this
-        /// session fresh.  A reconnecting client that receives
-        /// `resumed == false` must abort: its lease expired and the owner
-        /// reclaimed the session's pending commits.  Mid-stream renewals
-        /// are always answered `resumed == true` — a connection that holds
-        /// its grant has, by definition, intact session state — and clients
-        /// only validate the flag during the handshake.
+        /// session fresh.  A reconnecting client that has already read a
+        /// grant and then receives `resumed == false` must abort: its lease
+        /// expired and the owner reclaimed the session's state.  Before the
+        /// first grant is read either value is sound on a reconnect — no
+        /// reply has been consumed, so the replay holds every request the
+        /// client ever sent and rebuilds the same state on a fresh session
+        /// (the first connection's handshake may have lost the race to be
+        /// adopted first).  `resumed == true` on a first connection is a
+        /// session collision.  Mid-stream renewals are always answered
+        /// `resumed == true` — a connection that holds its grant has, by
+        /// definition, intact session state — and clients only validate the
+        /// flag during the handshake.
         resumed: bool,
         /// The cluster shard map, when the granting process serves as one
         /// node of a cluster (`None` from a standalone owner).  Carries
@@ -525,6 +539,7 @@ pub fn encode_request_into(buf: &mut Vec<u8>, request: &Request) {
             num_shards,
             workers,
             ttl_ms,
+            generation,
         } => {
             buf.push(TAG_LEASE);
             put_u64(buf, *session);
@@ -532,6 +547,7 @@ pub fn encode_request_into(buf: &mut Vec<u8>, request: &Request) {
             put_u64(buf, *num_shards);
             put_u64(buf, *workers);
             put_u64(buf, *ttl_ms);
+            put_u64(buf, *generation);
         }
         Request::Goodbye => buf.push(TAG_GOODBYE),
     }
@@ -860,6 +876,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, ProtoError> {
             num_shards: cursor.u64("lease shards")?,
             workers: cursor.u64("lease workers")?,
             ttl_ms: cursor.u64("lease ttl")?,
+            generation: cursor.u64("lease generation")?,
         },
         TAG_GOODBYE => Request::Goodbye,
         tag => {
@@ -1081,6 +1098,7 @@ mod tests {
                 num_shards: 1024,
                 workers: 8,
                 ttl_ms: 30_000,
+                generation: 3,
             },
             Request::Goodbye,
         ]
@@ -1291,6 +1309,7 @@ mod tests {
                 num_shards: 1,
                 workers: 1,
                 ttl_ms: 0,
+                generation: 0,
             },
             Request::Goodbye,
         ];

@@ -31,9 +31,20 @@
 //!                                         ▼
 //!                                     RECLAIMED (pending commits freed;
 //!                                     a late reconnect gets resumed=false
-//!                                     and the client aborts with
+//!                                     and a client that had read a grant
+//!                                     aborts with
 //!                                     TransportError::LeaseLost)
 //! ```
+//!
+//! Handshakes are read and routed on concurrent threads, so nothing orders
+//! a severed connection's handoff against its reconnect's.  Each lease
+//! names its connection generation, and an owner adopts only a handoff
+//! newer than the one it adopted last: a superseded connection reaching
+//! the owner late (after the reconnect spawned the session, or queued
+//! behind it in the mailbox) is closed unserved.  A reconnect that wins
+//! the race to *spawn* the session is granted `resumed = false`; its
+//! client accepts that as long as it has read no grant yet (see the
+//! transport's connection-lifecycle docs).
 //!
 //! Expiry is only enforced while a session is *disconnected*: a slow round
 //! on a healthy connection never loses its lease, while a dead client's
@@ -329,6 +340,7 @@ fn route(
         stream,
         session: lease.session,
         ttl_ms: lease.ttl_ms,
+        generation: lease.generation,
     };
     let stale;
     {
@@ -342,9 +354,11 @@ fn route(
             }
             // The owner exited (goodbye or expiry) between reaps: reclaim
             // the slot and start the session fresh.  A reconnecting client
-            // sees the fresh session's `resumed = false` grant and aborts
-            // with the typed `TransportError::LeaseLost` — exactly the
-            // reclaim semantics.
+            // that had already read a grant sees the fresh session's
+            // `resumed = false` grant and aborts with the typed
+            // `TransportError::LeaseLost` — exactly the reclaim semantics.
+            // One that had read none replays everything it ever sent, so
+            // the fresh session is the same state.
             stale = sessions.remove(&key);
         } else {
             stale = None;
@@ -461,13 +475,14 @@ mod tests {
         Key::of(KeyTag::Scalar, a)
     }
 
-    fn lease_frame(session: u64, worker: u64, ttl_ms: u64) -> Request {
+    fn lease_frame(session: u64, worker: u64, ttl_ms: u64, generation: u64) -> Request {
         Request::Lease {
             session,
             worker,
             num_shards: 4,
             workers: 1,
             ttl_ms,
+            generation,
         }
     }
 
@@ -527,7 +542,7 @@ mod tests {
         // First connection: lease, commit 3 pairs, then vanish abruptly
         // (no goodbye).
         let mut first = TcpStream::connect(addr).unwrap();
-        send_request(&mut first, &lease_frame(session, 0, 60_000));
+        send_request(&mut first, &lease_frame(session, 0, 60_000, 0));
         assert_eq!(
             read_reply(&mut first),
             Reply::LeaseGranted {
@@ -559,7 +574,7 @@ mod tests {
         // replayed commit (same seq) is re-acked without re-applying, and
         // the owner's state is intact.
         let mut second = TcpStream::connect(addr).unwrap();
-        send_request(&mut second, &lease_frame(session, 0, 60_000));
+        send_request(&mut second, &lease_frame(session, 0, 60_000, 1));
         assert_eq!(
             read_reply(&mut second),
             Reply::LeaseGranted {
@@ -602,7 +617,7 @@ mod tests {
         let session = 0x5e55;
 
         let mut first = TcpStream::connect(addr).unwrap();
-        send_request(&mut first, &lease_frame(session, 0, 50));
+        send_request(&mut first, &lease_frame(session, 0, 50, 0));
         assert!(matches!(
             read_reply(&mut first),
             Reply::LeaseGranted { resumed: false, .. }
@@ -631,7 +646,7 @@ mod tests {
         // client its pending commits are gone (TransportError::LeaseLost
         // at the transport layer).
         let mut late = TcpStream::connect(addr).unwrap();
-        send_request(&mut late, &lease_frame(session, 0, 50));
+        send_request(&mut late, &lease_frame(session, 0, 50, 1));
         assert!(matches!(
             read_reply(&mut late),
             Reply::LeaseGranted { resumed: false, .. }
@@ -657,7 +672,7 @@ mod tests {
         // never while the socket is up — not even while replies are still
         // being flushed toward a client that has not read them yet.
         let mut stream = TcpStream::connect(addr).unwrap();
-        send_request(&mut stream, &lease_frame(session, 0, 50));
+        send_request(&mut stream, &lease_frame(session, 0, 50, 0));
         assert!(matches!(
             read_reply(&mut stream),
             Reply::LeaseGranted { resumed: false, .. }
@@ -702,7 +717,7 @@ mod tests {
         let session = 0x001e_a5ed;
 
         let mut stream = TcpStream::connect(addr).unwrap();
-        send_request(&mut stream, &lease_frame(session, 0, 60_000));
+        send_request(&mut stream, &lease_frame(session, 0, 60_000, 0));
         assert!(matches!(
             read_reply(&mut stream),
             Reply::LeaseGranted { resumed: false, .. }
@@ -721,7 +736,7 @@ mod tests {
         // `resumed = true` (the session's state is by definition intact
         // mid-stream) and carries the refreshed ttl; the owner keeps
         // serving with its state untouched.
-        send_request(&mut stream, &lease_frame(session, 0, 120_000));
+        send_request(&mut stream, &lease_frame(session, 0, 120_000, 0));
         assert_eq!(
             read_reply(&mut stream),
             Reply::LeaseGranted {
@@ -735,6 +750,98 @@ mod tests {
         assert_eq!(read_reply(&mut stream), Reply::TotalWrites(1));
         send_request(&mut stream, &Request::Goodbye);
         server.shutdown();
+    }
+
+    /// A connected loopback socket pair: `(client end, owner end)`.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (owner, _) = listener.accept().unwrap();
+        (client, owner)
+    }
+
+    #[test]
+    fn stale_handoffs_are_dropped_not_adopted() {
+        // The acceptor routes every handshake on its own thread, so a
+        // severed first attempt's handoff can reach its owner after the
+        // reconnect's.  Routed here by hand, in exactly that order.
+        let sessions: Arc<Mutex<SessionMap>> = Arc::new(Mutex::new(HashMap::new()));
+        let session = 0x57a1e;
+        let lease = |generation| LeaseFrame {
+            session,
+            worker: 0,
+            num_shards: 4,
+            workers: 1,
+            ttl_ms: 60_000,
+            generation,
+        };
+        let grant = |resumed| Reply::LeaseGranted {
+            session,
+            ttl_ms: 60_000,
+            resumed,
+            shard_map: None,
+        };
+
+        // Generation 1 spawns the session, commits, and freezes and
+        // publishes epochs 0 and 1.
+        let (mut live, owner_end) = socket_pair();
+        route(&sessions, owner_end, lease(1), &None);
+        assert_eq!(read_reply(&mut live), grant(false));
+        send_request(
+            &mut live,
+            &Request::Commit {
+                epoch: 0,
+                seq: 1,
+                batches: vec![(0, vec![(k(5), Value::scalar(5))])],
+            },
+        );
+        assert_eq!(
+            read_reply(&mut live),
+            Reply::Committed {
+                epoch: 0,
+                accepted: 1
+            }
+        );
+        for epoch in 0..2 {
+            send_request(&mut live, &Request::FreezeEpoch { epoch });
+            assert_eq!(read_reply(&mut live), Reply::EpochFrozen { epoch });
+            send_request(&mut live, &Request::PublishEpoch { epoch });
+            assert!(matches!(read_reply(&mut live), Reply::Epoch(_)));
+        }
+
+        // Generation 0's handoff arrives late, with the first attempt's
+        // freeze of epoch 0 still buffered in its socket.
+        let (mut stale, owner_end) = socket_pair();
+        send_request(&mut stale, &Request::FreezeEpoch { epoch: 0 });
+        stale.shutdown(std::net::Shutdown::Write).unwrap();
+        route(&sessions, owner_end, lease(0), &None);
+
+        // Sever generation 1 and reconnect as generation 2: the owner must
+        // skip the stale handoff queued ahead of it and resume the session
+        // untouched.
+        live.shutdown(std::net::Shutdown::Both).unwrap();
+        let (mut next, owner_end) = socket_pair();
+        route(&sessions, owner_end, lease(2), &None);
+        assert_eq!(
+            read_reply(&mut next),
+            grant(true),
+            "generation 2 must resume the session"
+        );
+        send_request(&mut next, &Request::TotalWrites);
+        assert_eq!(read_reply(&mut next), Reply::TotalWrites(1));
+        let mut payload = Vec::new();
+        assert!(
+            read_frame(&mut stale, &mut payload).is_err(),
+            "the stale connection must be closed without a grant"
+        );
+
+        send_request(&mut next, &Request::Goodbye);
+        let entry = sessions.lock().remove(&(session, 0)).unwrap();
+        let owner = entry.handle.expect("the owner thread was spawned");
+        assert!(
+            owner.join().is_ok(),
+            "the owner must survive the stale handoff"
+        );
     }
 
     #[test]

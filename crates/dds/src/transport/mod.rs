@@ -63,9 +63,11 @@
 //! # Connection lifecycle: lease → serve → reconnect → expire
 //!
 //! The first frame of every TCP connection is a [`Request::Lease`]
-//! identifying `(session, worker)` and asking for a lease of `ttl_ms`
-//! milliseconds; the server answers [`crate::proto::Reply::LeaseGranted`]
-//! before any other reply.  From then on the *owner* owns liveness:
+//! identifying `(session, worker)`, asking for a lease of `ttl_ms`
+//! milliseconds and naming the connection's *generation* (`0` for the
+//! first connection, one more per reconnect dial); the server answers
+//! [`crate::proto::Reply::LeaseGranted`] before any other reply.  From then
+//! on the *owner* owns liveness:
 //!
 //! * while the socket is **connected**, requests renew the lease implicitly
 //!   (a slow round is not a dead client — expiry is never enforced against
@@ -93,6 +95,24 @@
 //! which already reclaimed the session (lease expired) surfaces as the
 //! typed [`TransportError::LeaseLost`] — continuing silently would
 //! resurrect a session whose pending state is gone.
+//!
+//! The grant's `resumed` flag is judged against what the client has read:
+//!
+//! * once any grant has been read, a reconnect granted `resumed = false`
+//!   is that reclaim, [`TransportError::LeaseLost`];
+//! * a first connection granted `resumed = true` collided with another
+//!   client's session, [`TransportError::Protocol`];
+//! * a reconnect before any grant was read accepts either value.  The
+//!   serving process routes each handshake on its own thread, so the
+//!   reconnect may be adopted before or after the first connection; and
+//!   since no reply has been consumed yet, the replay holds every request
+//!   the client ever sent, which rebuilds the same state on a fresh
+//!   session.
+//!
+//! The owner side of the same race is closed by the generation: an owner
+//! adopts only a connection newer than the one it adopted last, so a
+//! superseded connection that reaches it late is closed unserved instead
+//! of having its buffered requests dispatched.
 //!
 //! # Fault injection
 //!

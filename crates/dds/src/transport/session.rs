@@ -239,9 +239,20 @@ pub struct TcpTransport {
     /// A lease handshake is in flight: the next frame read must be the
     /// grant, consumed before ordinary replies.
     await_grant: bool,
-    /// Whether the pending grant must report `resumed` (reconnects) or
-    /// fresh state (first connection).
-    expect_resumed: bool,
+    /// Connection generation sent in the lease: `0` for the first
+    /// connection, one more per reconnect dial.
+    generation: u64,
+    /// Whether any lease grant has been read on this transport.  It decides
+    /// what a grant's `resumed` flag may say: `false` after a grant was
+    /// read means the owner reclaimed the session
+    /// ([`TransportError::LeaseLost`]); `true` on the first connection
+    /// means a session collision.  A reconnect before any grant was read
+    /// accepts either: a serving process routes handshakes concurrently,
+    /// so it may adopt the reconnect before or after the first connection,
+    /// and since no reply has been consumed yet, `pending` holds every
+    /// request ever sent and the replay rebuilds the same state on a fresh
+    /// session.
+    granted: bool,
     /// The cluster shard map carried by the most recent lease grant
     /// (`None` when the owner serves standalone).
     shard_map: Option<ShardMap>,
@@ -303,7 +314,8 @@ impl TcpTransport {
             encoder: FrameWriter::new(),
             pending: VecDeque::new(),
             await_grant: true,
-            expect_resumed: false,
+            generation: 0,
+            granted: false,
             shard_map: None,
             faults: RequestFaults::none(),
         };
@@ -323,6 +335,7 @@ impl TcpTransport {
             num_shards: self.options.num_shards as u64,
             workers: self.options.workers as u64,
             ttl_ms: self.options.ttl_ms,
+            generation: self.generation,
         }
     }
 
@@ -345,14 +358,14 @@ impl TcpTransport {
         }
     }
 
-    /// One reconnection attempt: dial, handshake the lease, replay every
-    /// outstanding request in order.
+    /// One reconnection attempt: dial, handshake the lease under the next
+    /// connection generation, replay every outstanding request in order.
     fn try_reestablish(&mut self) -> std::io::Result<()> {
         let stream = TcpStream::connect(self.endpoint)?;
         stream.set_nodelay(true)?;
         self.stream = stream;
         self.await_grant = true;
-        self.expect_resumed = true;
+        self.generation += 1;
         let lease = self.lease_request();
         self.encoder.send_request(&mut self.stream, &lease)?;
         for request in &self.pending {
@@ -493,13 +506,16 @@ impl TcpTransport {
                         ),
                     });
                 }
-                if self.expect_resumed && !resumed {
+                // `resumed` is judged by what this transport has read so
+                // far — see `granted` for why a reconnect before the first
+                // grant accepts either value.
+                if self.granted && !resumed {
                     return Err(TransportError::LeaseLost {
                         worker: self.worker,
                         session,
                     });
                 }
-                if !self.expect_resumed && resumed {
+                if self.generation == 0 && resumed {
                     return Err(TransportError::Protocol {
                         worker: self.worker,
                         message: format!("session {session:#x} collided with existing state"),
@@ -507,6 +523,7 @@ impl TcpTransport {
                 }
                 self.shard_map = shard_map;
                 self.await_grant = false;
+                self.granted = true;
                 if stop_after_grant {
                     return Ok(None);
                 }
@@ -619,6 +636,9 @@ pub(crate) struct ServeHandoff {
     pub(crate) session: u64,
     /// Lease duration the client asked for, milliseconds (0 = infinite).
     pub(crate) ttl_ms: u64,
+    /// Connection generation the lease named: the owner adopts only
+    /// handoffs newer than the one it adopted last.
+    pub(crate) generation: u64,
 }
 
 /// The decoded contents of a connection's opening [`Request::Lease`] frame.
@@ -628,6 +648,7 @@ pub(crate) struct LeaseFrame {
     pub(crate) num_shards: u64,
     pub(crate) workers: u64,
     pub(crate) ttl_ms: u64,
+    pub(crate) generation: u64,
 }
 
 /// Read and decode the opening lease frame of a fresh connection, under
@@ -649,12 +670,14 @@ pub(crate) fn read_lease_frame(stream: &TcpStream) -> Option<LeaseFrame> {
             num_shards,
             workers,
             ttl_ms,
+            generation,
         }) => Some(LeaseFrame {
             session,
             worker,
             num_shards,
             workers,
             ttl_ms,
+            generation,
         }),
         _ => None,
     }
@@ -820,9 +843,11 @@ pub struct TcpServer {
     /// runs against a live socket — not even one whose pipelined replies
     /// are still being flushed.
     disconnected_at: Option<Instant>,
-    /// Whether this session served a connection before — what the grant
-    /// reports as `resumed`.
-    served_before: bool,
+    /// Connection generation of the connection adopted last (`None`
+    /// before the first).  `Some` is what the grant reports as `resumed`;
+    /// a (re)connection whose generation is not newer was superseded
+    /// before it got here and is dropped unserved.
+    adopted_generation: Option<u64>,
     /// Session id of the connection currently (or last) served; dispatch
     /// keys its per-session replay windows by this.
     session: u64,
@@ -850,7 +875,7 @@ impl TcpServer {
             pool: FramePool::new(),
             ttl: Duration::ZERO,
             disconnected_at: None,
-            served_before: false,
+            adopted_generation: None,
             session: 0,
             shard_map: None,
             finished: false,
@@ -867,7 +892,7 @@ impl TcpServer {
             pool: FramePool::new(),
             ttl: Duration::ZERO,
             disconnected_at: None,
-            served_before: false,
+            adopted_generation: None,
             session: 0,
             shard_map: None,
             finished: false,
@@ -890,17 +915,32 @@ impl TcpServer {
         }
     }
 
+    /// Whether `handoff` was superseded by a connection this server already
+    /// adopted.  Handshakes are routed concurrently, so a severed
+    /// connection's handoff can arrive after its successor's; serving it
+    /// would dispatch the requests still buffered in a dead socket.
+    fn is_stale(&self, handoff: &ServeHandoff) -> bool {
+        self.adopted_generation
+            .is_some_and(|adopted| handoff.generation <= adopted)
+    }
+
     /// Adopt a freshly (re)connected stream: start its pipeline stages,
     /// grant the lease and begin serving it.
-    fn adopt(&mut self, stream: TcpStream, session: u64, ttl_ms: u64) {
+    fn adopt(&mut self, handoff: ServeHandoff) {
+        let ServeHandoff {
+            stream,
+            session,
+            ttl_ms,
+            generation,
+        } = handoff;
         if let Err(err) = stream.set_nodelay(true) {
             warn_nodelay_once(&err);
         }
         self.ttl = Duration::from_millis(ttl_ms);
         self.disconnected_at = None;
         self.session = session;
-        let resumed = self.served_before;
-        self.served_before = true;
+        let resumed = self.adopted_generation.is_some();
+        self.adopted_generation = Some(generation);
         match Conn::start(stream, self.pool.clone()) {
             Ok(conn) => {
                 self.conn = Some(conn);
@@ -981,13 +1021,19 @@ impl TcpServer {
     /// Read and validate the lease handshake of a brand-new connection.
     /// Returns `None` (dropping the connection) on garbage, a timeout, or a
     /// lease addressed to a different worker.
-    fn read_handshake(&self, stream: &TcpStream) -> Option<(u64, u64)> {
-        let lease = read_lease_frame(stream)?;
-        (lease.worker as usize == self.worker).then_some((lease.session, lease.ttl_ms))
+    fn read_handshake(&self, stream: TcpStream) -> Option<ServeHandoff> {
+        let lease = read_lease_frame(&stream)?;
+        (lease.worker as usize == self.worker).then_some(ServeHandoff {
+            stream,
+            session: lease.session,
+            ttl_ms: lease.ttl_ms,
+            generation: lease.generation,
+        })
     }
 
-    /// Wait for a (re)connection until the lease deadline.  `false` ends
-    /// the serve loop: the lease expired, or the stream source is gone.
+    /// Wait for a (re)connection until the lease deadline, dropping stale
+    /// ones ([`Self::is_stale`]).  `false` ends the serve loop: the lease
+    /// expired, or the stream source is gone.
     fn await_stream(&mut self) -> bool {
         let deadline = self.deadline();
         match &self.source {
@@ -999,10 +1045,13 @@ impl TcpServer {
                         if stream.set_nonblocking(false).is_err() {
                             continue;
                         }
-                        let Some((session, ttl_ms)) = self.read_handshake(&stream) else {
+                        let Some(handoff) = self.read_handshake(stream) else {
                             continue; // not our client; drop and keep waiting
                         };
-                        self.adopt(stream, session, ttl_ms);
+                        if self.is_stale(&handoff) {
+                            continue; // superseded; drop and keep waiting
+                        }
+                        self.adopt(handoff);
                         return true;
                     }
                     Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1016,7 +1065,7 @@ impl TcpServer {
                     Err(_) => return false, // listener broken: give up
                 }
             },
-            StreamSource::Mailbox(mailbox) => {
+            StreamSource::Mailbox(mailbox) => loop {
                 let handoff = match deadline {
                     Some(deadline) => {
                         let now = Instant::now();
@@ -1035,9 +1084,12 @@ impl TcpServer {
                         Err(_) => return false,
                     },
                 };
-                self.adopt(handoff.stream, handoff.session, handoff.ttl_ms);
-                true
-            }
+                if !self.is_stale(&handoff) {
+                    self.adopt(handoff);
+                    return true;
+                }
+                // Superseded: dropping the handoff closes its socket.
+            },
         }
     }
 }
@@ -1507,6 +1559,156 @@ mod tests {
             server.queue_frame(|payload| *payload = oversized_frame());
             assert!(server.conn.is_none(), "the rejection drops the connection");
         });
+    }
+
+    /// The raw-listener owner below scripts handshake orders the real owner
+    /// only reaches by racing its concurrent handshake threads: each call
+    /// takes the next connection and reads its lease frame.
+    fn accept_lease(listener: &TcpListener) -> (TcpStream, LeaseFrame) {
+        let (stream, _) = listener.accept().unwrap();
+        let lease = read_lease_frame(&stream).expect("the first frame must be a lease");
+        (stream, lease)
+    }
+
+    fn grant_lease(stream: &mut TcpStream, lease: &LeaseFrame, resumed: bool) {
+        let grant = Reply::LeaseGranted {
+            session: lease.session,
+            ttl_ms: lease.ttl_ms,
+            resumed,
+            shard_map: None,
+        };
+        write_frame(stream, &crate::proto::encode_reply(&grant)).unwrap();
+    }
+
+    fn read_request(stream: &mut TcpStream) -> Request {
+        let mut payload = Vec::new();
+        read_frame(stream, &mut payload).unwrap();
+        decode_request(&payload).unwrap()
+    }
+
+    /// Read the next request, which must be the commit `seq`.
+    fn read_commit(stream: &mut TcpStream, seq: u64) -> (usize, u64) {
+        match read_request(stream) {
+            Request::Commit {
+                epoch,
+                seq: got,
+                batches,
+            } => {
+                assert_eq!(got, seq, "commits must arrive in order");
+                (
+                    epoch,
+                    batches.iter().map(|(_, pairs)| pairs.len() as u64).sum(),
+                )
+            }
+            other => panic!("commit {seq} expected, got {other:?}"),
+        }
+    }
+
+    fn ack_commit(stream: &mut TcpStream, seq: u64) {
+        let (epoch, accepted) = read_commit(stream, seq);
+        let ack = Reply::Committed { epoch, accepted };
+        write_frame(stream, &crate::proto::encode_reply(&ack)).unwrap();
+    }
+
+    fn raw_owner() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
+    }
+
+    #[test]
+    fn reconnects_before_the_first_grant_accept_a_fresh_session() {
+        // The first connection is read but never granted: its handshake
+        // lost the race to the reconnect's, so the owner adopts the
+        // reconnect first — as a fresh session.  No reply was read before
+        // the sever, so the replay carries every request ever sent and
+        // rebuilds the same state: nothing was lost.
+        const PIPELINE: u64 = 3;
+        let (listener, addr) = raw_owner();
+        let owner = std::thread::spawn(move || {
+            let (first, lease) = accept_lease(&listener);
+            assert_eq!(lease.generation, 0, "the first connection is generation 0");
+            drop(first);
+            let (mut second, lease) = accept_lease(&listener);
+            assert_eq!(
+                lease.generation, 1,
+                "a reconnect leases the next generation"
+            );
+            grant_lease(&mut second, &lease, false);
+            for seq in 0..PIPELINE {
+                ack_commit(&mut second, seq);
+            }
+            assert_eq!(read_request(&mut second), Request::Goodbye);
+        });
+        let mut client = TcpTransport::connect_to(addr, 1, TcpOptions::fresh()).unwrap();
+        for seq in 0..PIPELINE {
+            client.send(commit_request(seq as usize)).unwrap();
+        }
+        for seq in 0..PIPELINE {
+            match client.recv() {
+                Ok(ClientReply::Wire(Reply::Committed { epoch, accepted })) => {
+                    assert_eq!((epoch, accepted), (seq as usize, 1), "ack of commit {seq}");
+                }
+                Ok(_) => panic!("commit {seq} must be acknowledged in order"),
+                Err(err) => panic!("commit {seq} must be acknowledged, got {err}"),
+            }
+        }
+        drop(client);
+        owner.join().unwrap();
+    }
+
+    #[test]
+    fn reconnects_after_a_grant_still_report_a_reclaimed_lease() {
+        let options = TcpOptions::fresh();
+        let session = options.session;
+        let (listener, addr) = raw_owner();
+        let owner = std::thread::spawn(move || {
+            let (mut first, lease) = accept_lease(&listener);
+            grant_lease(&mut first, &lease, false);
+            ack_commit(&mut first, 0);
+            // Take commit 1 and vanish without acknowledging it.
+            read_commit(&mut first, 1);
+            drop(first);
+            // The reconnect reaches an owner that reclaimed the session.
+            let (mut second, lease) = accept_lease(&listener);
+            assert_eq!(lease.generation, 1);
+            read_commit(&mut second, 1); // the unanswered commit is replayed
+            grant_lease(&mut second, &lease, false);
+        });
+        let mut client = TcpTransport::connect_to(addr, 4, options).unwrap();
+        client.send(commit_request(0)).unwrap();
+        assert!(matches!(
+            client.recv(),
+            Ok(ClientReply::Wire(Reply::Committed { epoch: 0, .. }))
+        ));
+        // A grant and a reply were read: a fresh session now means the
+        // owner's state for this session is gone.
+        client.send(commit_request(1)).unwrap();
+        assert_eq!(
+            client.recv().err(),
+            Some(TransportError::LeaseLost { worker: 4, session })
+        );
+        owner.join().unwrap();
+    }
+
+    #[test]
+    fn grants_that_resume_a_first_connection_are_collisions() {
+        let (listener, addr) = raw_owner();
+        let owner = std::thread::spawn(move || {
+            let (mut stream, lease) = accept_lease(&listener);
+            assert_eq!(lease.generation, 0);
+            grant_lease(&mut stream, &lease, true);
+            stream
+        });
+        let mut client = TcpTransport::connect_to(addr, 2, TcpOptions::fresh()).unwrap();
+        match client.finish_handshake() {
+            Err(TransportError::Protocol { worker: 2, message }) => assert!(
+                message.contains("collided with existing state"),
+                "unexpected protocol error: {message}"
+            ),
+            other => panic!("a resumed first grant must be a collision, got {other:?}"),
+        }
+        drop(owner.join().unwrap());
     }
 
     #[test]

@@ -61,6 +61,7 @@ fn arbitrary_request() -> impl Strategy<Value = Request> {
                 num_shards: (epoch % 1024).max(1),
                 workers: (seq % 64).max(1),
                 ttl_ms: epoch,
+                generation: seq.rotate_left(7),
             },
             3 => Request::Goodbye,
             4 => Request::PublishEpoch {
